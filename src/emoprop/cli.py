@@ -3,33 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
+import textwrap
 
-from .graph import GraphError
-from .pipeline import STAGES, ConfigError, PipelineError, parse_config, run
+from .pipeline import SECTIONS, STAGES, PipelineError, parse_config, run, section_fields
 
 _EPILOG = """\
-config file (JSON; unknown keys are rejected):
+config file (JSON; unknown keys are rejected, values must have their JSON
+type: integers as integers, true/false for booleans):
   seed        required; the only entropy source, every stage derives its
               own sub-seed from it unless a section sets "seed" itself
   graph       path to an existing graph file (exclusive with "synth")
   out_dir     artifact directory (default "."; --out-dir overrides)
-  synth       {communities: 4, synsets_per_community: 10, lus_per_synset: 3,
-               languages: ["pl", "en"], intra_probability: 0.3,
-               inter_probability: 0.02, interlingual_fraction: 0.5,
-               label_noise: 0.0}
-  corpus      {num_walks: 1000, length: 20, cross_lingual: true,
-               start_kind: "all" | "synset" | "lu"}
-  embed       {dim: 300, window: 5, epochs: 5, learning_rate: 0.025,
-               negatives: 5, noise_exponent: 0.75, min_count: 1,
-               subword: null | [min_n, max_n]}
-  mlp         {variant: "base" | "deep", hidden_dims: null, dropout: 0.2,
-               patience: 30, max_epochs: 1000, batch_size: 256,
-               learning_rate: 0.001}
-  propagate   {retrain_per_wave: false, mask_fraction: 0.1}
-  eval        {folds: 10}
+{sections}
 
 stages:
   synth       generate a synthetic bilingual graph  -> graph.jsonl
@@ -37,7 +26,7 @@ stages:
   embed       skip-gram embeddings of the corpus    -> embeddings.txt
   train       regressor on all annotated LUs        -> model.ckpt
   propagate   predict a masked fraction of LUs      -> propagation.jsonl
-  evaluate    10-fold cross-validated metrics       -> metrics.json/.txt
+  evaluate    cross-validated metrics (eval.folds)  -> metrics.json/.txt
   all         every applicable stage in dependency order, skipping
               stages whose config and inputs are unchanged (content hash)
 
@@ -46,12 +35,28 @@ environment:
 """
 
 
+def _section_help() -> str:
+    """Each config section's keys with their defaults, read from its dataclass."""
+    blocks = []
+    for name, (cls, _stage) in SECTIONS.items():
+        keys = ", ".join(
+            f"{f.name}=derived" if f.name == "seed"
+            else f"{f.name}={json.dumps(f.default, separators=(',', ':'))}"
+            for f in section_fields(cls)
+        )
+        indent = f"  {name:<12}"
+        blocks.append(
+            textwrap.fill(keys, 78, initial_indent=indent, subsequent_indent=" " * 14)
+        )
+    return "\n".join(blocks)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emoprop",
         description="Lexical-graph emotion propagation pipeline: random-walk "
         "embeddings, multilabel regression, cross-validated evaluation.",
-        epilog=_EPILOG,
+        epilog=_EPILOG.format(sections=_section_help()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("stage", choices=STAGES, help="pipeline stage to run")
@@ -68,10 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out_dir is not None:
             cfg.out_dir = args.out_dir
         return run(args.stage, cfg)
-    except (ConfigError, PipelineError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,12 +33,23 @@ def edge_token(edge: Edge) -> str:
     return f"r{inter}{edge.rel.category}#{edge.rel.name}"
 
 
-def token_of(x: NodeId | Edge) -> str:
-    """Token for a node or a traversed edge; injective on nodes, relation
-    types share one token across all their edges."""
-    if isinstance(x, NodeId):
-        return node_token(x)
-    return edge_token(x)
+@dataclass
+class CorpusConfig:
+    """Walk parameters, as the pipeline's "corpus" config section."""
+
+    num_walks: int = 1000
+    length: int = 20
+    cross_lingual: bool = True
+    start_kind: str = "all"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.num_walks < 1:
+            raise ValueError("num_walks must be >= 1")
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
+        if self.start_kind not in START_KINDS:
+            raise ValueError(f"start_kind must be one of {START_KINDS}")
 
 
 @dataclass
@@ -108,12 +119,7 @@ def generate_corpus(
     start_kind restricts the start-node pool ("all", "synset" or "lu");
     traversal itself is unrestricted by kind either way.
     """
-    if num_walks < 1:
-        raise ValueError("num_walks must be >= 1")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if start_kind not in START_KINDS:
-        raise ValueError(f"start_kind must be one of {START_KINDS}")
+    CorpusConfig(num_walks, length, cross_lingual, start_kind, seed)  # range checks
     if not g.nodes:
         raise GraphError("cannot generate walks on an empty graph")
     if start_kind == "all":

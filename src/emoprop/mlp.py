@@ -291,6 +291,15 @@ def train_mlp(
         raise MLPError("input dimension mismatch with config")
     if y_train.shape[1] != cfg.output_dim or y_val.shape[1] != cfg.output_dim:
         raise MLPError("target dimension mismatch with config")
+    for name, arr in (
+        ("train features", x_train),
+        ("train targets", y_train),
+        ("validation features", x_val),
+        ("validation targets", y_val),
+    ):
+        bad = ~np.isfinite(arr).all(axis=1)
+        if bad.any():
+            raise MLPError(f"non-finite {name} at row {int(np.argmax(bad))}")
 
     model = init_model(cfg)
     rng = np.random.default_rng(cfg.seed + 1)

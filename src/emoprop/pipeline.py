@@ -14,14 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .corpus import (
-    START_KINDS,
+    CorpusConfig,
     generate_corpus,
     load_corpus_sequences,
     node_token,
@@ -73,109 +73,100 @@ def stage_seed(global_seed: int, stage: str) -> int:
 
 
 @dataclass
+class PropagateConfig:
+    retrain_per_wave: bool = False
+    mask_fraction: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.mask_fraction < 1.0:
+            raise ValueError("mask_fraction must be in (0, 1)")
+
+
+@dataclass
+class EvalConfig:
+    folds: int = 10
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.folds < 3:
+            raise ValueError("folds must be >= 3")
+
+
+@dataclass
 class PipelineConfig:
+    """One field per config key; every section's "seed" is already
+    resolved (config_from_dict fills an absent one from the global seed)."""
+
     seed: int
     out_dir: str = "."
     graph: str | None = None
     synth: SynthConfig | None = None
-    num_walks: int = 1000
-    walk_length: int = 20
-    cross_lingual: bool = True
-    start_kind: str = "all"
+    corpus: CorpusConfig = field(default_factory=CorpusConfig)
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     mlp: MLPConfig = field(default_factory=MLPConfig)
-    retrain_per_wave: bool = False
-    mask_fraction: float = 0.1
-    folds: int = 10
-    # explicit per-stage seed overrides; None means derived from the
-    # global seed via stage_seed
-    synth_seed: int | None = None
-    corpus_seed: int | None = None
-    embed_seed: int | None = None
-    mlp_seed: int | None = None
-    eval_seed: int | None = None
-
-    def resolved_seed(self, stage: str) -> int:
-        override = {
-            "synth": self.synth_seed,
-            "walk": self.corpus_seed,
-            "embed": self.embed_seed,
-            "train": self.mlp_seed,
-            "evaluate": self.eval_seed,
-        }.get(stage)
-        return override if override is not None else stage_seed(self.seed, stage)
+    propagate: PropagateConfig = field(default_factory=PropagateConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-TOP_KEYS = {"seed", "out_dir", "graph", "synth", "corpus", "embed", "mlp", "propagate", "eval"}
-SYNTH_KEYS = {
-    "communities",
-    "synsets_per_community",
-    "lus_per_synset",
-    "languages",
-    "intra_probability",
-    "inter_probability",
-    "interlingual_fraction",
-    "label_noise",
-    "seed",
+# config section -> (its dataclass, the stage whose stage_seed fills an
+# absent "seed"); the order is the parse order
+SECTIONS = {
+    "synth": (SynthConfig, "synth"),
+    "corpus": (CorpusConfig, "walk"),
+    "embed": (EmbedConfig, "embed"),
+    "mlp": (MLPConfig, "train"),
+    "propagate": (PropagateConfig, None),
+    "eval": (EvalConfig, "evaluate"),
 }
-CORPUS_KEYS = {"num_walks", "length", "cross_lingual", "start_kind", "seed"}
-EMBED_KEYS = {
-    "dim",
-    "window",
-    "epochs",
-    "learning_rate",
-    "negatives",
-    "noise_exponent",
-    "min_count",
-    "subword",
-    "seed",
-}
-MLP_KEYS = {
-    "variant",
-    "hidden_dims",
-    "dropout",
-    "patience",
-    "max_epochs",
-    "batch_size",
-    "learning_rate",
-    "seed",
-}
-PROPAGATE_KEYS = {"retrain_per_wave", "mask_fraction"}
-EVAL_KEYS = {"folds", "seed"}
+# filled from the embeddings, never from the config
+DERIVED_FIELDS = {"input_dim", "output_dim"}
+
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+def section_fields(cls) -> list[Field]:
+    """The config keys of a section, in declaration order."""
+    return [f for f in fields(cls) if f.name not in DERIVED_FIELDS]
+
+
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
-        names = ", ".join(f"{where}{k}" if where else k for k in unknown)
+        names = ", ".join(f"{where}{k}" for k in unknown)
         raise ConfigError(f"unknown config key(s): {names}")
 
 
-def _get_section(doc: dict, name: str, allowed: set) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    _check_keys(section, allowed, f"{name}.")
-    return dict(section)
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_opt_seed(section: dict, where: str) -> int | None:
-    if "seed" not in section:
-        return None
-    seed = _as_int(section.pop("seed"), f"{where}.seed")
-    if seed < 0:
-        raise ConfigError(f"{where}.seed must be non-negative")
-    return seed
+def _coerce(value, hint, where: str):
+    """A JSON value checked against a config field's type hint; lists
+    become tuples.  Ints pass as floats unchanged, bools never pass as
+    numbers."""
+    kind, expected = hint, ""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        kind = next(a for a in get_args(hint) if a is not type(None))
+        expected = "null or "
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        fixed = Ellipsis not in args
+        if isinstance(value, list) and (not fixed or len(value) == len(args)):
+            return tuple(
+                _coerce(v, args[i] if fixed else args[0], f"{where}[{i}]")
+                for i, v in enumerate(value)
+            )
+        expected += f"a list of {len(args)}" if fixed else "a list"
+    elif isinstance(value, (int, float) if kind is float else kind) and (
+        isinstance(value, bool) == (kind is bool)
+    ):
+        return value
+    else:
+        expected += _NOUNS[kind]
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
 def parse_config(path) -> PipelineConfig:
-    """Strict JSON config: unknown keys and out-of-range values error."""
+    """Strict JSON config: unknown keys, wrongly typed and out-of-range
+    values error."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -190,121 +181,42 @@ def parse_config(path) -> PipelineConfig:
     return config_from_dict(doc)
 
 
+def _parse_section(doc: dict, name: str, seed: int):
+    cls, stage = SECTIONS[name]
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    _check_keys(section, [f.name for f in section_fields(cls)], f"{name}.")
+    hints = get_type_hints(cls)
+    values = {k: _coerce(v, hints[k], f"{name}.{k}") for k, v in section.items()}
+    if values.get("seed", 0) < 0:
+        raise ConfigError(f"{name}.seed must be non-negative")
+    if stage is not None:
+        values.setdefault("seed", stage_seed(seed, stage))
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
-    _check_keys(doc, TOP_KEYS, "")
+    _check_keys(doc, [f.name for f in fields(PipelineConfig)], "")
     if "seed" not in doc:
         raise ConfigError("config must set an explicit seed")
-    seed = _as_int(doc["seed"], "seed")
-    if seed < 0:
+    hints = get_type_hints(PipelineConfig)
+    top = {k: _coerce(v, hints[k], k) for k, v in doc.items() if k not in SECTIONS}
+    if top["seed"] < 0:
         raise ConfigError("seed must be non-negative")
-
-    graph = doc.get("graph")
-    if graph is not None and not isinstance(graph, str):
-        raise ConfigError("graph must be a path string")
-    if graph is not None and "synth" in doc:
+    if top.get("graph") is not None and "synth" in doc:
         raise ConfigError("config sets both graph and synth; choose one")
-    if graph is None and "synth" not in doc:
+    if top.get("graph") is None and "synth" not in doc:
         raise ConfigError("config needs a graph path or a synth section")
 
-    out_dir = doc.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a path string")
-
-    synth_cfg = None
-    synth_seed = None
-    if "synth" in doc:
-        section = _get_section(doc, "synth", SYNTH_KEYS)
-        synth_seed = _as_opt_seed(section, "synth")
-        if "languages" in section:
-            langs = section["languages"]
-            if not isinstance(langs, list) or not all(isinstance(x, str) for x in langs):
-                raise ConfigError("synth.languages must be a list of strings")
-            section["languages"] = tuple(langs)
-        try:
-            synth_cfg = SynthConfig(**section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"synth: {exc}") from exc
-
-    corpus = _get_section(doc, "corpus", CORPUS_KEYS)
-    corpus_seed = _as_opt_seed(corpus, "corpus")
-    num_walks = _as_int(corpus.get("num_walks", 1000), "corpus.num_walks")
-    walk_length = _as_int(corpus.get("length", 20), "corpus.length")
-    if num_walks < 1:
-        raise ConfigError("corpus.num_walks must be >= 1")
-    if walk_length < 1:
-        raise ConfigError("corpus.length must be >= 1")
-    cross_lingual = corpus.get("cross_lingual", True)
-    if not isinstance(cross_lingual, bool):
-        raise ConfigError("corpus.cross_lingual must be a boolean")
-    start_kind = corpus.get("start_kind", "all")
-    if start_kind not in START_KINDS:
-        raise ConfigError(f"corpus.start_kind must be one of {START_KINDS}")
-
-    embed_section = _get_section(doc, "embed", EMBED_KEYS)
-    embed_seed = _as_opt_seed(embed_section, "embed")
-    if embed_section.get("subword") is not None:
-        sub = embed_section["subword"]
-        if not isinstance(sub, list) or len(sub) != 2:
-            raise ConfigError("embed.subword must be null or [min_n, max_n]")
-        embed_section["subword"] = (
-            _as_int(sub[0], "embed.subword[0]"),
-            _as_int(sub[1], "embed.subword[1]"),
-        )
-    try:
-        embed_cfg = EmbedConfig(**embed_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"embed: {exc}") from exc
-
-    mlp_section = _get_section(doc, "mlp", MLP_KEYS)
-    mlp_seed = _as_opt_seed(mlp_section, "mlp")
-    if mlp_section.get("hidden_dims") is not None:
-        dims = mlp_section["hidden_dims"]
-        if not isinstance(dims, list):
-            raise ConfigError("mlp.hidden_dims must be null or a list of integers")
-        mlp_section["hidden_dims"] = tuple(
-            _as_int(h, "mlp.hidden_dims") for h in dims
-        )
-    try:
-        mlp_cfg = MLPConfig(input_dim=embed_cfg.dim, **mlp_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mlp: {exc}") from exc
-
-    prop = _get_section(doc, "propagate", PROPAGATE_KEYS)
-    retrain = prop.get("retrain_per_wave", False)
-    if not isinstance(retrain, bool):
-        raise ConfigError("propagate.retrain_per_wave must be a boolean")
-    mask_fraction = prop.get("mask_fraction", 0.1)
-    if isinstance(mask_fraction, bool) or not isinstance(mask_fraction, (int, float)):
-        raise ConfigError("propagate.mask_fraction must be a number")
-    if not 0.0 < float(mask_fraction) < 1.0:
-        raise ConfigError("propagate.mask_fraction must be in (0, 1)")
-
-    eval_section = _get_section(doc, "eval", EVAL_KEYS)
-    eval_seed = _as_opt_seed(eval_section, "eval")
-    folds = _as_int(eval_section.get("folds", 10), "eval.folds")
-    if folds < 3:
-        raise ConfigError("eval.folds must be >= 3")
-
-    return PipelineConfig(
-        seed=seed,
-        out_dir=out_dir,
-        graph=graph,
-        synth=synth_cfg,
-        num_walks=num_walks,
-        walk_length=walk_length,
-        cross_lingual=cross_lingual,
-        start_kind=start_kind,
-        embed=embed_cfg,
-        mlp=mlp_cfg,
-        retrain_per_wave=retrain,
-        mask_fraction=float(mask_fraction),
-        folds=folds,
-        synth_seed=synth_seed,
-        corpus_seed=corpus_seed,
-        embed_seed=embed_seed,
-        mlp_seed=mlp_seed,
-        eval_seed=eval_seed,
-    )
+    for name in SECTIONS:
+        if name != "synth" or name in doc:
+            top[name] = _parse_section(doc, name, top["seed"])
+    top["mlp"] = replace(top["mlp"], input_dim=top["embed"].dim)
+    return PipelineConfig(**top)
 
 
 def artifact_paths(cfg: PipelineConfig) -> dict[str, Path]:
@@ -330,36 +242,23 @@ def _hash_file(path: Path) -> str:
 
 def _stage_config(stage: str, cfg: PipelineConfig) -> dict:
     """The config subset a stage's output depends on, for cache keying."""
+    if stage in ("synth", "walk", "embed"):
+        return asdict({"synth": cfg.synth, "walk": cfg.corpus, "embed": cfg.embed}[stage])
     mlp_dict = asdict(cfg.mlp)
     mlp_dict.pop("input_dim")  # derived from the embeddings artifact
-    mlp_dict["seed"] = cfg.resolved_seed("train")
-    if stage == "synth":
-        return {**asdict(cfg.synth), "seed": cfg.resolved_seed("synth")}
-    if stage == "walk":
-        return {
-            "num_walks": cfg.num_walks,
-            "length": cfg.walk_length,
-            "cross_lingual": cfg.cross_lingual,
-            "start_kind": cfg.start_kind,
-            "seed": cfg.resolved_seed("walk"),
-        }
-    if stage == "embed":
-        return {**asdict(cfg.embed), "seed": cfg.resolved_seed("embed")}
     if stage == "train":
         return {"mlp": mlp_dict, "split_seed": stage_seed(cfg.seed, "train-split")}
     if stage == "propagate":
         return {
             "mlp": mlp_dict,
-            "retrain_per_wave": cfg.retrain_per_wave,
-            "mask_fraction": cfg.mask_fraction,
+            **asdict(cfg.propagate),
             "mask_seed": stage_seed(cfg.seed, "propagate"),
         }
     if stage == "evaluate":
         return {
             "mlp": mlp_dict,
-            "retrain_per_wave": cfg.retrain_per_wave,
-            "folds": cfg.folds,
-            "seed": cfg.resolved_seed("evaluate"),
+            "retrain_per_wave": cfg.propagate.retrain_per_wave,
+            **asdict(cfg.eval),
         }
     raise PipelineError(f"unknown stage {stage!r}")
 
@@ -382,19 +281,20 @@ def _annotated_split(
     return groups
 
 
-def _load_stage_inputs(cfg: PipelineConfig, paths: dict) -> tuple[WordNetGraph, object]:
+def _load_stage_inputs(paths: dict) -> tuple[WordNetGraph, object]:
+    """The graph and the embeddings, which must cover every annotated LU."""
     g = parse_wordnet_file(paths["graph"])
     table = load_embeddings(paths["embeddings"])
+    missing = [node_token(lu) for lu in sorted(g.annotations) if node_token(lu) not in table]
+    if missing:
+        shown = ", ".join(missing[:10])
+        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
+        raise PipelineError(f"no embedding for annotated LUs: {shown}{more}")
     return g, table
 
 
-def _mlp_for_table(cfg: PipelineConfig, table) -> MLPConfig:
-    return replace(cfg.mlp, input_dim=table.dim, seed=cfg.resolved_seed("train"))
-
-
 def _stage_synth(cfg: PipelineConfig, paths: dict) -> str:
-    scfg = replace(cfg.synth, seed=cfg.resolved_seed("synth"))
-    g, _gold = generate(scfg)
+    g, _gold = generate(cfg.synth)
     write_wordnet_file(g, paths["graph"])
     return (
         f"synth: {len(g.nodes)} nodes, {len(g.edges)} edges, "
@@ -404,26 +304,26 @@ def _stage_synth(cfg: PipelineConfig, paths: dict) -> str:
 
 def _stage_walk(cfg: PipelineConfig, paths: dict) -> str:
     g = parse_wordnet_file(paths["graph"])
+    c = cfg.corpus
     corpus = generate_corpus(
         g,
-        cfg.num_walks,
-        cfg.walk_length,
-        cfg.resolved_seed("walk"),
-        cross_lingual=cfg.cross_lingual,
-        start_kind=cfg.start_kind,
+        c.num_walks,
+        c.length,
+        c.seed,
+        cross_lingual=c.cross_lingual,
+        start_kind=c.start_kind,
     )
     save_corpus(corpus, paths["corpus"])
-    mode = "cross-lingual" if cfg.cross_lingual else "monolingual"
+    mode = "cross-lingual" if c.cross_lingual else "monolingual"
     return (
-        f"walk: {len(corpus.sequences)} {mode} walks of length {cfg.walk_length} "
+        f"walk: {len(corpus.sequences)} {mode} walks of length {c.length} "
         f"-> {paths['corpus']}"
     )
 
 
 def _stage_embed(cfg: PipelineConfig, paths: dict) -> str:
     sequences = load_corpus_sequences(paths["corpus"])
-    ecfg = replace(cfg.embed, seed=cfg.resolved_seed("embed"))
-    table = train_embeddings(sequences, ecfg)
+    table = train_embeddings(sequences, cfg.embed)
     save_embeddings(table, paths["embeddings"])
     final_loss = table.loss_history[-1] if table.loss_history else float("nan")
     return (
@@ -432,22 +332,13 @@ def _stage_embed(cfg: PipelineConfig, paths: dict) -> str:
     )
 
 
-def _require_embeddings(table, g: WordNetGraph, lus) -> None:
-    missing = [node_token(lu) for lu in lus if node_token(lu) not in table]
-    if missing:
-        shown = ", ".join(missing[:10])
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
-        raise PipelineError(f"no embedding for annotated LUs: {shown}{more}")
-
-
 def _stage_train(cfg: PipelineConfig, paths: dict) -> str:
-    g, table = _load_stage_inputs(cfg, paths)
+    g, table = _load_stage_inputs(paths)
     if len(g.annotations) < 2:
         raise PipelineError("train needs at least 2 annotated LUs")
     rng = np.random.default_rng(stage_seed(cfg.seed, "train-split"))
     val_lus, train_lus = _annotated_split(g, rng, (0.1,))
-    _require_embeddings(table, g, (*train_lus, *val_lus))
-    mcfg = _mlp_for_table(cfg, table)
+    mcfg = replace(cfg.mlp, input_dim=table.dim)
 
     def matrix(lus):
         x = np.stack([table.vector_of(node_token(lu)) for lu in lus])
@@ -464,15 +355,15 @@ def _stage_train(cfg: PipelineConfig, paths: dict) -> str:
 
 
 def _stage_propagate(cfg: PipelineConfig, paths: dict) -> str:
-    g, table = _load_stage_inputs(cfg, paths)
+    g, table = _load_stage_inputs(paths)
     if len(g.annotations) < 3:
         raise PipelineError("propagate needs at least 3 annotated LUs")
     rng = np.random.default_rng(stage_seed(cfg.seed, "propagate"))
-    targets, val_lus, seed_lus = _annotated_split(g, rng, (cfg.mask_fraction, 0.1))
+    fractions = (cfg.propagate.mask_fraction, 0.1)
+    targets, val_lus, seed_lus = _annotated_split(g, rng, fractions)
     if not seed_lus:
         raise PipelineError("mask_fraction leaves no seed LUs")
-    _require_embeddings(table, g, sorted(g.annotations))
-    mcfg = _mlp_for_table(cfg, table)
+    mcfg = replace(cfg.mlp, input_dim=table.dim)
     result = propagate(
         g,
         table,
@@ -480,7 +371,7 @@ def _stage_propagate(cfg: PipelineConfig, paths: dict) -> str:
         {lu: g.annotations[lu] for lu in seed_lus},
         {lu: g.annotations[lu] for lu in val_lus},
         targets,
-        retrain_per_wave=cfg.retrain_per_wave,
+        retrain_per_wave=cfg.propagate.retrain_per_wave,
     )
     save_propagation(result, paths["propagation"])
     return (
@@ -490,16 +381,14 @@ def _stage_propagate(cfg: PipelineConfig, paths: dict) -> str:
 
 
 def _stage_evaluate(cfg: PipelineConfig, paths: dict) -> str:
-    g, table = _load_stage_inputs(cfg, paths)
-    _require_embeddings(table, g, sorted(g.annotations))
-    mcfg = _mlp_for_table(cfg, table)
+    g, table = _load_stage_inputs(paths)
     cv = run_cv(
         g,
         table,
-        mcfg,
-        cfg.resolved_seed("evaluate"),
-        retrain_per_wave=cfg.retrain_per_wave,
-        n_folds=cfg.folds,
+        replace(cfg.mlp, input_dim=table.dim),
+        cfg.eval.seed,
+        retrain_per_wave=cfg.propagate.retrain_per_wave,
+        n_folds=cfg.eval.folds,
     )
     paths["metrics_json"].write_text(
         json.dumps(cv.aggregate, indent=2) + "\n", encoding="utf-8"
@@ -512,7 +401,7 @@ def _stage_evaluate(cfg: PipelineConfig, paths: dict) -> str:
     return (
         f"evaluate: micro F1 {micro['mean']:.3f} ± {micro['sd']:.3f}, "
         f"pooled R {pooled['mean']:.3f} ± {pooled['sd']:.3f} "
-        f"over {cfg.folds} folds -> {paths['metrics_json']}"
+        f"over {cfg.eval.folds} folds -> {paths['metrics_json']}"
     )
 
 

@@ -13,7 +13,6 @@ from emoprop.corpus import (
     node_token,
     random_walk,
     save_corpus,
-    token_of,
 )
 from emoprop.graph import (
     Edge,
@@ -48,10 +47,6 @@ class TestTokens:
         """Both traversal directions of an edge share one token."""
         e = Edge(synset(0), lu(0), RelationType("membership", "SL", False))
         assert edge_token(e) == "rSL#membership"
-
-    def test_token_of_dispatch(self):
-        assert token_of(synset(1)) == "S#pl#1"
-        assert token_of(Edge(synset(0), synset(1), HYPO)) == "rSS#hyponymy"
 
     def test_node_tokens_injective(self):
         nodes = [synset(1, "pl"), synset(1, "en"), lu(1, "pl"), synset(11, "pl")]

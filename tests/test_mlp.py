@@ -1,5 +1,7 @@
 """Multilabel regressor: architecture, FVU loss, backprop, training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,12 +346,19 @@ class TestTraining:
             assert np.array_equal(w1, w2)
 
     def test_nonfinite_input_raises(self):
-        x_tr, y_tr, x_va, y_va = _split_task()
-        x_tr = x_tr.copy()
-        x_tr[0, 0] = np.inf
+        """Rejected up front, before any matmul can warn about it."""
         cfg = MLPConfig(variant="base", input_dim=10, max_epochs=5, seed=0)
-        with pytest.raises(MLPError, match="non-finite"):
-            train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        for which, row, value, message in (
+            (0, 0, np.inf, "non-finite train features at row 0"),
+            (3, 4, np.nan, "non-finite validation targets at row 4"),
+        ):
+            arrays = [a.copy() for a in _split_task()]
+            arrays[which][row, 1] = value
+            x_tr, y_tr, x_va, y_va = arrays
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MLPError, match=message):
+                    train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
 
     def test_dimension_errors(self):
         x_tr, y_tr, x_va, y_va = _split_task()

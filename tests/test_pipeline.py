@@ -4,24 +4,32 @@ import hashlib
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import emoprop
 from emoprop.cli import main
+from emoprop.corpus import CorpusConfig
+from emoprop.embed import EmbedConfig
+from emoprop.mlp import MLPConfig
 from emoprop.pipeline import (
     ConfigError,
+    EvalConfig,
     PipelineError,
+    PropagateConfig,
     artifact_paths,
     config_from_dict,
     parse_config,
     run,
     stage_seed,
 )
+from emoprop.synth import SynthConfig
 
 ARTIFACTS = (
     "graph.jsonl",
@@ -32,6 +40,16 @@ ARTIFACTS = (
     "metrics.json",
     "metrics.txt",
 )
+
+
+# config section -> the stage whose stage_seed its "seed" defaults to
+SEEDED_SECTIONS = {
+    "synth": "synth",
+    "corpus": "walk",
+    "embed": "embed",
+    "mlp": "train",
+    "eval": "evaluate",
+}
 
 
 def micro_config(out_dir):
@@ -74,29 +92,35 @@ class TestStageSeed:
         seeds = {stage_seed(0, s) for s in stages}
         assert len(seeds) == len(stages)
 
+    def test_section_seeds_derive_from_global_seed(self):
+        cfg = config_from_dict({"seed": 3, "synth": {}})
+        for section, stage in SEEDED_SECTIONS.items():
+            assert getattr(cfg, section).seed == stage_seed(3, stage), section
+
     def test_override_only_affects_its_stage(self):
-        cfg = config_from_dict(
-            {"seed": 3, "graph": "g.jsonl", "corpus": {"seed": 7}}
-        )
-        assert cfg.corpus_seed == 7
-        assert cfg.resolved_seed("walk") == 7
-        assert cfg.resolved_seed("embed") == stage_seed(3, "embed")
-        assert cfg.resolved_seed("propagate") == stage_seed(3, "propagate")
+        base = config_from_dict({"seed": 3, "synth": {}})
+        for section in SEEDED_SECTIONS:
+            pinned = config_from_dict({"seed": 3, "synth": {}, section: {"seed": 7}})
+            for name in (*SEEDED_SECTIONS, "propagate"):
+                expected = getattr(base, name)
+                if name == section:
+                    expected = replace(expected, seed=7)
+                assert getattr(pinned, name) == expected, (section, name)
 
 
 class TestParseConfig:
     def test_defaults(self):
         cfg = config_from_dict({"graph": "g.jsonl", "seed": 0})
-        assert cfg.num_walks == 1000
-        assert cfg.walk_length == 20
-        assert cfg.cross_lingual is True
-        assert cfg.start_kind == "all"
+        assert cfg.corpus.num_walks == 1000
+        assert cfg.corpus.length == 20
+        assert cfg.corpus.cross_lingual is True
+        assert cfg.corpus.start_kind == "all"
         assert cfg.embed.dim == 300
         assert cfg.mlp.patience == 30
         assert cfg.mlp.input_dim == 300
-        assert cfg.mask_fraction == 0.1
-        assert cfg.retrain_per_wave is False
-        assert cfg.folds == 10
+        assert cfg.propagate.mask_fraction == 0.1
+        assert cfg.propagate.retrain_per_wave is False
+        assert cfg.eval.folds == 10
         assert cfg.out_dir == "."
         assert cfg.synth is None
 
@@ -166,10 +190,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="hidden_dims"):
             config_from_dict({"graph": "g", "seed": 0, "mlp": {"hidden_dims": 16}})
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("synth", {"communities": 2.5}, "synth.communities must be an integer, got 2.5"),
+            ("corpus", {"num_walks": True}, "corpus.num_walks must be an integer, got True"),
+            ("embed", {"dim": 8.5}, "embed.dim must be an integer, got 8.5"),
+            ("embed", {"learning_rate": True}, "embed.learning_rate must be a number, got True"),
+            ("propagate", {"mask_fraction": "0.2"}, "propagate.mask_fraction must be a number"),
+            ("propagate", {"retrain_per_wave": 1}, "propagate.retrain_per_wave must be a boolean"),
+            ("mlp", {"variant": ["deep"]}, "mlp.variant must be a string, got ['deep']"),
+            ("mlp", {"hidden_dims": [16, True]}, "mlp.hidden_dims[1] must be an integer"),
+            ("eval", {"folds": 3.0}, "eval.folds must be an integer, got 3.0"),
+            ("corpus", {"seed": -1}, "corpus.seed must be non-negative"),
+            ("eval", {"seed": -1}, "eval.seed must be non-negative"),
+        ],
+    )
+    def test_values_checked_against_field_types(self, section, values, message):
+        doc = {"seed": 0, "synth": {}, section: values}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+
     def test_synth_seed_override_recorded(self):
         cfg = config_from_dict({"seed": 1, "synth": {"seed": 5}})
-        assert cfg.synth_seed == 5
-        assert cfg.resolved_seed("synth") == 5
+        assert cfg.synth.seed == 5
 
     def test_file_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -189,7 +233,7 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.seed == 7
         assert cfg.embed.dim == 8
-        assert cfg.folds == 3
+        assert cfg.eval.folds == 3
 
 
 class TestStagesAndCache:
@@ -336,6 +380,32 @@ class TestCli:
         assert main(["all", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config key(s): mlp.paitence")
+
+    def test_wrongly_typed_value_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 0, "synth": {"communities": 2.5}}))
+        assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: synth.communities must be an integer, got 2.5\n"
+
+    def test_help_lists_every_config_key(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        sections = {
+            "synth": SynthConfig,
+            "corpus": CorpusConfig,
+            "embed": EmbedConfig,
+            "mlp": MLPConfig,
+            "propagate": PropagateConfig,
+            "eval": EvalConfig,
+        }
+        for name, cls in sections.items():
+            block = re.search(rf"^  {name} +(.*(?:\n {{14}}\S.*)*)", out, re.M).group(1)
+            for f in fields(cls):
+                if f.name not in ("input_dim", "output_dim"):
+                    assert re.search(rf"\b{f.name}=", block), f"{name}.{f.name}"
 
     def test_missing_input_reports_error(self, config_file, tmp_path, capsys):
         path, out = config_file
