@@ -9,9 +9,11 @@ pair is
     log sigmoid(u_ctx . v_c) + sum_j log sigmoid(-u_neg_j . v_c)
 
 maximized by SGD whose learning rate decays linearly to zero over the total
-planned number of pairs.  Training is sequential and deterministic per
-seed.  An optional character-n-gram subword table composes vectors for
-tokens outside the vocabulary.
+planned number of pairs.  Each training step runs `sgns_loss_and_grads` on
+one center and its whole window, the kernel the gradient checks test.
+Training is sequential and deterministic per seed.  An optional
+character-n-gram subword table composes vectors for tokens outside the
+vocabulary.
 """
 
 from __future__ import annotations
@@ -181,22 +183,19 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sgns_loss_and_grads(
-    center: np.ndarray, context: np.ndarray, negatives: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and analytic gradients for one (center, context, negatives) triple.
+    center: np.ndarray, rows: np.ndarray, n_pos: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and analytic gradients for one center and its window.
 
-    Returns (loss, d_center, d_context, d_negatives) for the negative
-    sampling loss -log s(u_ctx.v) - sum_j log s(-u_neg_j.v).
+    ``rows`` holds the context vectors of the window first (``n_pos`` of
+    them), then their negatives.  Returns (loss, d_center, d_rows) for the
+    negative sampling loss -sum_p log s(u_p.v) - sum_j log s(-u_j.v).
     """
-    pos_dot = float(np.dot(context, center))
-    neg_dots = negatives @ center
-    loss = -float(_log_sigmoid(pos_dot)) - float(np.sum(_log_sigmoid(-neg_dots)))
-    s_pos = float(_sigmoid(pos_dot))
-    s_neg = _sigmoid(neg_dots)
-    d_center = (s_pos - 1.0) * context + s_neg @ negatives
-    d_context = (s_pos - 1.0) * center
-    d_negatives = s_neg[:, None] * center
-    return loss, d_center, d_context, d_negatives
+    dots = rows @ center
+    loss = -float(np.sum(_log_sigmoid(dots[:n_pos])) + np.sum(_log_sigmoid(-dots[n_pos:])))
+    coef = _sigmoid(dots)
+    coef[:n_pos] -= 1.0
+    return loss, coef @ rows, coef[:, None] * center
 
 
 def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
@@ -275,27 +274,19 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
                 lr = lr0 * (1.0 - seen / total_pairs)
                 center_idx = seq[i]
                 if token_rows is not None:
-                    rows = token_rows[center_idx]
-                    v = input_vectors[rows].mean(axis=0)
+                    in_rows = token_rows[center_idx]
+                    v = input_vectors[in_rows].mean(axis=0)
                 else:
-                    rows = None
+                    in_rows = None
                     v = input_vectors[center_idx]
 
                 neg = np.searchsorted(cdf, rng.random(n_ctx * k))
-                u_ctx = output_vectors[ctx]
-                u_neg = output_vectors[neg]
-                pos_dots = u_ctx @ v
-                neg_dots = u_neg @ v
-                epoch_loss += -float(np.sum(_log_sigmoid(pos_dots)))
-                epoch_loss += -float(np.sum(_log_sigmoid(-neg_dots)))
-
-                g_pos = _sigmoid(pos_dots) - 1.0
-                g_neg = _sigmoid(neg_dots)
-                d_center = g_pos @ u_ctx + g_neg @ u_neg
-                np.add.at(output_vectors, ctx, (-lr * g_pos)[:, None] * v)
-                np.add.at(output_vectors, neg, (-lr * g_neg)[:, None] * v)
-                if rows is not None:
-                    input_vectors[rows] -= (lr / len(rows)) * d_center
+                idx = np.concatenate((ctx, neg))
+                loss, d_center, d_rows = sgns_loss_and_grads(v, output_vectors[idx], n_ctx)
+                epoch_loss += loss
+                np.add.at(output_vectors, idx, -lr * d_rows)
+                if in_rows is not None:
+                    input_vectors[in_rows] -= (lr / len(in_rows)) * d_center
                 else:
                     input_vectors[center_idx] -= lr * d_center
                 seen += n_ctx
@@ -336,17 +327,30 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         if len(header) != 2:
             raise EmbeddingError(f"bad embedding file header in {path}")
         size, dim = int(header[0]), int(header[1])
-        tokens = []
+        token_to_index: dict[str, int] = {}
         vectors = np.empty((size, dim))
         for row in range(size):
             parts = fh.readline().split()
             if len(parts) != dim + 1:
                 raise EmbeddingError(f"bad embedding line {row + 2} in {path}")
-            tokens.append(parts[0])
+            if parts[0] in token_to_index:
+                raise EmbeddingError(
+                    f"duplicate token {parts[0]!r} on embedding line {row + 2} in {path}"
+                )
+            token_to_index[parts[0]] = row
             vectors[row] = [float(x) for x in parts[1:]]
+        if fh.readline():
+            raise EmbeddingError(
+                f"embedding line {size + 2} in {path} is past the header's {size} rows"
+            )
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        raise EmbeddingError(
+            f"non-finite value on embedding line {int(np.argmax(bad)) + 2} in {path}"
+        )
     vocab = Vocabulary(
-        token_to_index={tok: i for i, tok in enumerate(tokens)},
-        tokens=tokens,
+        token_to_index=token_to_index,
+        tokens=list(token_to_index),
         counts=np.ones(size, dtype=np.int64),
         min_count=1,
     )

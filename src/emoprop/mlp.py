@@ -304,16 +304,13 @@ def train_mlp(
     model = init_model(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
 
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    params = [*model.weights, *model.biases]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     step = 0
 
     best_val = np.inf
     best_epoch = 0
-    best_weights: list[np.ndarray] = []
-    best_biases: list[np.ndarray] = []
+    best: list[np.ndarray] = []
     bad_epochs = 0
     train_history: list[float] = []
     val_history: list[float] = []
@@ -332,21 +329,12 @@ def train_mlp(
             step += 1
             correction1 = 1.0 - ADAM_BETA1**step
             correction2 = 1.0 - ADAM_BETA2**step
-            for li in range(len(model.weights)):
-                m_w[li] = ADAM_BETA1 * m_w[li] + (1 - ADAM_BETA1) * d_w[li]
-                v_w[li] = ADAM_BETA2 * v_w[li] + (1 - ADAM_BETA2) * d_w[li] ** 2
-                model.weights[li] -= (
-                    cfg.learning_rate
-                    * (m_w[li] / correction1)
-                    / (np.sqrt(v_w[li] / correction2) + ADAM_EPS)
-                )
-                m_b[li] = ADAM_BETA1 * m_b[li] + (1 - ADAM_BETA1) * d_b[li]
-                v_b[li] = ADAM_BETA2 * v_b[li] + (1 - ADAM_BETA2) * d_b[li] ** 2
-                model.biases[li] -= (
-                    cfg.learning_rate
-                    * (m_b[li] / correction1)
-                    / (np.sqrt(v_b[li] / correction2) + ADAM_EPS)
-                )
+            for p, g, (m, v) in zip(params, [*d_w, *d_b], moments):
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * g**2
+                p -= cfg.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
             epoch_loss += loss
             n_batches += 1
         train_history.append(epoch_loss / max(1, n_batches))
@@ -360,16 +348,15 @@ def train_mlp(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_weights = [w.copy() for w in model.weights]
-            best_biases = [b.copy() for b in model.biases]
+            best = [p.copy() for p in params]
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
 
-    model.weights = best_weights
-    model.biases = best_biases
+    n_layers = len(model.weights)
+    model.weights, model.biases = best[:n_layers], best[n_layers:]
     report = TrainReport(
         epochs_run=len(val_history),
         best_epoch=best_epoch,
@@ -423,17 +410,23 @@ def load_model(path) -> MLPModel:
         cfg_dict = dict(header["config"])
         cfg_dict["hidden_dims"] = tuple(cfg_dict["hidden_dims"])
         cfg = MLPConfig(**cfg_dict)
-        weights = []
-        biases = []
-        for shape in header["shapes"]:
-            fan_in, fan_out = shape
-            w = np.frombuffer(fh.read(4 * fan_in * fan_out), dtype="<f4")
-            weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-            b = np.frombuffer(fh.read(4 * fan_out), dtype="<f4")
-            biases.append(b.astype(np.float64))
-    model = MLPModel(config=cfg, weights=weights, biases=biases)
-    dims = cfg.layer_dims()
-    actual = [w.shape for w in weights]
-    if actual != [tuple(d) for d in dims]:
-        raise MLPError(f"checkpoint shapes {actual} do not chain per config {dims}")
-    return model
+        dims = cfg.layer_dims()
+        shapes = [tuple(shape) for shape in header["shapes"]]
+        if shapes != dims:
+            raise MLPError(f"checkpoint shapes {shapes} do not chain per config {dims}")
+        block = fh.read()
+    expected = 4 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in dims)
+    if len(block) != expected:
+        raise MLPError(
+            f"checkpoint {path} holds {len(block)} parameter bytes, expected {expected}"
+        )
+    flat = np.frombuffer(block, dtype="<f4").astype(np.float64)
+    weights = []
+    biases = []
+    offset = 0
+    for fan_in, fan_out in dims:
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return MLPModel(config=cfg, weights=weights, biases=biases)

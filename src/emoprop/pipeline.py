@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -139,7 +140,7 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 def _coerce(value, hint, where: str):
     """A JSON value checked against a config field's type hint; lists
     become tuples.  Ints pass as floats unchanged, bools never pass as
-    numbers."""
+    numbers, and NaN or infinity never pass at all."""
     kind, expected = hint, ""
     if type(None) in get_args(hint):
         if value is None:
@@ -158,6 +159,8 @@ def _coerce(value, hint, where: str):
     elif isinstance(value, (int, float) if kind is float else kind) and (
         isinstance(value, bool) == (kind is bool)
     ):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
         return value
     else:
         expected += _NOUNS[kind]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import emoprop.embed
 from emoprop.corpus import generate_corpus
 from emoprop.embed import (
     EmbedConfig,
@@ -88,38 +89,31 @@ class TestSgnsGradients:
     def test_zero_center_loss(self):
         """With a zero center vector every dot product is 0; sigmoid gives 1/2."""
         rng = np.random.default_rng(0)
-        center = np.zeros(8)
-        context = rng.normal(size=8)
-        negatives = rng.normal(size=(5, 8))
-        loss, d_c, d_ctx, d_neg = sgns_loss_and_grads(center, context, negatives)
-        assert loss == pytest.approx(6 * np.log(2.0), rel=1e-12)
-        assert np.array_equal(d_ctx, np.zeros(8))
-        assert np.array_equal(d_neg, np.zeros((5, 8)))
+        for n_pos in range(1, 5):
+            rows = rng.normal(size=(5 * n_pos, 8))
+            loss, d_c, d_rows = sgns_loss_and_grads(np.zeros(8), rows, n_pos)
+            assert loss == pytest.approx(len(rows) * np.log(2.0), rel=1e-12)
+            assert np.array_equal(d_rows, np.zeros_like(rows))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         h = 1e-5
-        for _ in range(20):
+        for trial in range(20):
+            n_pos = 1 + trial % 4
             center = rng.normal(scale=0.5, size=8)
-            context = rng.normal(scale=0.5, size=8)
-            negatives = rng.normal(scale=0.5, size=(3, 8))
-            _, d_c, d_ctx, d_neg = sgns_loss_and_grads(center, context, negatives)
-
-            def check(arr, grad, idx, rebuild):
-                plus, minus = arr.copy(), arr.copy()
-                plus[idx] += h
-                minus[idx] -= h
-                fd = (
-                    sgns_loss_and_grads(*rebuild(plus))[0]
-                    - sgns_loss_and_grads(*rebuild(minus))[0]
-                ) / (2 * h)
-                a = grad[idx]
-                assert abs(a - fd) <= 1e-4 * (abs(a) + abs(fd)) + 1e-10
-
-            for k in range(8):
-                check(center, d_c, (k,), lambda v: (v, context, negatives))
-                check(context, d_ctx, (k,), lambda v: (center, v, negatives))
-                check(negatives, d_neg, (1, k), lambda v: (center, context, v))
+            rows = rng.normal(scale=0.5, size=(5 * n_pos, 8))
+            _, d_c, d_rows = sgns_loss_and_grads(center, rows, n_pos)
+            for arr, grad in ((center, d_c), (rows, d_rows)):
+                for idx in np.ndindex(arr.shape):
+                    orig = arr[idx]
+                    arr[idx] = orig + h
+                    lp = sgns_loss_and_grads(center, rows, n_pos)[0]
+                    arr[idx] = orig - h
+                    lm = sgns_loss_and_grads(center, rows, n_pos)[0]
+                    arr[idx] = orig
+                    fd = (lp - lm) / (2 * h)
+                    a = grad[idx]
+                    assert abs(a - fd) <= 1e-4 * (abs(a) + abs(fd)) + 1e-10
 
 
 def _tiny_corpus():
@@ -134,6 +128,32 @@ class TestTraining:
         assert np.array_equal(a.input_vectors, b.input_vectors)
         assert np.array_equal(a.output_vectors, b.output_vectors)
         assert a.loss_history == b.loss_history
+
+    def test_trains_through_the_checked_kernel(self, monkeypatch):
+        """Each center with a context is one call of the kernel that the
+        gradient checks test, covering every planned pair."""
+        seqs = _tiny_corpus() + [["X", "Y", "Z", "W", "X"], ["W"]]
+        cfg = EmbedConfig(dim=8, window=2, epochs=3, seed=5)
+        plain = train_embeddings(seqs, cfg)
+        n_pos_seen = []
+
+        def counted(center, rows, n_pos):
+            n_pos_seen.append(n_pos)
+            return sgns_loss_and_grads(center, rows, n_pos)
+
+        monkeypatch.setattr(emoprop.embed, "sgns_loss_and_grads", counted)
+        wrapped = train_embeddings(seqs, cfg)
+        centers = sum(len(seq) for seq in seqs if len(seq) >= 2)
+        pairs = sum(
+            min(i, cfg.window) + min(len(seq) - 1 - i, cfg.window)
+            for seq in seqs
+            for i in range(len(seq))
+        )
+        assert len(n_pos_seen) == centers * cfg.epochs
+        assert sum(n_pos_seen) == pairs * cfg.epochs
+        assert np.array_equal(wrapped.input_vectors, plain.input_vectors)
+        assert np.array_equal(wrapped.output_vectors, plain.output_vectors)
+        assert wrapped.loss_history == plain.loss_history
 
     def test_cooccurring_tokens_align(self):
         cfg = EmbedConfig(dim=16, window=2, epochs=10, seed=4)
@@ -248,6 +268,21 @@ class TestEmbeddingIO:
         assert lines[0] == f"{len(table.vocab)} 4"
         assert [ln.split(" ", 1)[0] for ln in lines[1:]] == list(table.vocab.tokens)
         assert len(lines[1].split()) == 5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\na 0.1 0.2\nb 0.3 0.4\nc 0.5 0.6\n", "line 4 .* past the header's 2 rows"),
+            ("2 2\na 0.1 0.2\na 0.3 0.4\n", "duplicate token 'a' on embedding line 3"),
+            ("2 2\na 0.1 0.2\nb 0.3 nan\n", "non-finite value on embedding line 3"),
+            ("2 2\na inf 0.2\nb 0.3 0.4\n", "non-finite value on embedding line 2"),
+        ],
+    )
+    def test_malformed_rows(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=message):
+            load_embeddings(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"

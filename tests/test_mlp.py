@@ -432,6 +432,24 @@ class TestCheckpoint:
         with pytest.raises(MLPError, match="version"):
             load_model(path)
 
+    def test_truncated_parameters(self, tmp_path):
+        model = self._trained()
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        expected = 4 * model.num_parameters()
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(MLPError, match=f"{expected - 1} parameter bytes, expected {expected}"):
+            load_model(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        model = self._trained()
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        expected = 4 * model.num_parameters()
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(MLPError, match=f"{expected + 4} parameter bytes, expected {expected}"):
+            load_model(path)
+
     def test_tampered_shape_chain(self, tmp_path):
         model = self._trained()
         path = tmp_path / "model.ckpt"

@@ -204,12 +204,20 @@ class TestParseConfig:
             ("eval", {"folds": 3.0}, "eval.folds must be an integer, got 3.0"),
             ("corpus", {"seed": -1}, "corpus.seed must be non-negative"),
             ("eval", {"seed": -1}, "eval.seed must be non-negative"),
+            ("mlp", {"learning_rate": float("nan")},
+             "mlp.learning_rate must be a finite number, got nan"),
+            ("embed", {"learning_rate": float("inf")},
+             "embed.learning_rate must be a finite number, got inf"),
+            ("synth", {"label_noise": float("-inf")},
+             "synth.label_noise must be a finite number, got -inf"),
         ],
     )
-    def test_values_checked_against_field_types(self, section, values, message):
-        doc = {"seed": 0, "synth": {}, section: values}
+    def test_values_checked_against_field_types(self, tmp_path, section, values, message):
+        # json.dumps writes NaN and infinities as the literals NaN, Infinity, -Infinity
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 0, "synth": {}, section: values}), encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(message)):
-            config_from_dict(doc)
+            parse_config(path)
 
     def test_synth_seed_override_recorded(self):
         cfg = config_from_dict({"seed": 1, "synth": {"seed": 5}})
