@@ -324,8 +324,11 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     context vectors are zero (lookup-only use)."""
     with Path(path).open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingError(f"bad embedding file header in {path}")
+        if len(header) != 2 or not all(count.isdecimal() for count in header):
+            raise EmbeddingError(
+                f"bad embedding file header on line 1 in {path}: "
+                f"expected '<rows> <dim>', got {' '.join(header)!r}"
+            )
         size, dim = int(header[0]), int(header[1])
         token_to_index: dict[str, int] = {}
         vectors = np.empty((size, dim))
@@ -338,7 +341,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                     f"duplicate token {parts[0]!r} on embedding line {row + 2} in {path}"
                 )
             token_to_index[parts[0]] = row
-            vectors[row] = [float(x) for x in parts[1:]]
+            try:
+                vectors[row] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise EmbeddingError(f"non-number on embedding line {row + 2} in {path}: {exc}") from exc
         if fh.readline():
             raise EmbeddingError(
                 f"embedding line {size + 2} in {path} is past the header's {size} rows"

@@ -7,6 +7,16 @@ the fraction of variance unexplained (FVU), averaged over output
 dimensions and computed per mini-batch; a dimension whose batch target
 variance is below 1e-12 contributes plain mean squared error instead.
 Optimization is Adam with early stopping on validation loss.
+
+Precision: `train_mlp` runs forward, backward and Adam in float32, so a
+trained model's weights, activations, Adam moments and checkpoints are
+float32.  The FVU loss and its gradient are computed in float64, and the
+gradient is cast to the output's dtype before backprop.  `init_model`
+returns float64 parameters, and every pass follows the parameters' dtype,
+so the finite-difference gradient oracles run in float64.  Inputs and
+training targets are checked in float64 (finite, within float32's range
+for training, within the parameters' range for a forward pass) before
+any cast.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ VARIANCE_EPS = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+TRAIN_DTYPE = np.float32
 
 CHECKPOINT_MAGIC = b"EMLPCKPT"
 CHECKPOINT_VERSION = 1
@@ -124,7 +135,19 @@ def init_model(cfg: MLPConfig) -> MLPModel:
     return MLPModel(config=cfg, weights=weights, biases=biases)
 
 
+def _check_rows(name: str, arr: np.ndarray, dtype) -> None:
+    """Refuse the first row of the float64 `arr` holding NaN, inf or a
+    finite value beyond `dtype`'s range, which a cast would turn into inf."""
+    bad = ~(np.abs(arr) <= np.finfo(dtype).max).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if np.isfinite(arr[row]).all():
+            raise MLPError(f"{name} at row {row} exceed the {np.dtype(dtype).name} range")
+        raise MLPError(f"non-finite {name} at row {row}")
+
+
 def _check_input(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    """`x` as a 2-D batch in the parameters' dtype."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -133,7 +156,9 @@ def _check_input(model: MLPModel, x: np.ndarray) -> np.ndarray:
         raise MLPError(
             f"input dimension mismatch: expected {model.config.input_dim}, got {x.shape}"
         )
-    return x
+    dtype = model.weights[0].dtype
+    _check_rows("input", x, dtype)
+    return x.astype(dtype, copy=False)
 
 
 def _forward_cached(
@@ -165,13 +190,15 @@ def _forward_cached(
 def make_dropout_masks(
     cfg: MLPConfig, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray | None]:
+    """float32 inverted-dropout masks: 0 or 1/(1-p), computed in float64."""
     hidden = cfg.resolved_hidden()
     active = cfg.dropout_layers()
+    kept = np.float32(1.0 / (1.0 - cfg.dropout))
     masks: list[np.ndarray | None] = []
     for li, width in enumerate(hidden):
         if li in active:
             keep = rng.random((batch_size, width)) >= cfg.dropout
-            masks.append(keep.astype(np.float64) / (1.0 - cfg.dropout))
+            masks.append(np.where(keep, kept, np.float32(0.0)))
         else:
             masks.append(None)
     return masks
@@ -254,10 +281,11 @@ def loss_and_grads(
     y: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """FVU loss plus gradients for every weight matrix and bias vector."""
+    """FVU loss plus gradients for every weight matrix and bias vector; the
+    loss is float64, the gradients take the output's dtype."""
     out, cache = _forward_cached(model, x, masks)
     loss, d_out = fvu_loss_and_grad(out, y)
-    d_w, d_b = _backward(model, cache, d_out)
+    d_w, d_b = _backward(model, cache, d_out.astype(out.dtype, copy=False))
     return loss, d_w, d_b
 
 
@@ -277,11 +305,13 @@ def train_mlp(
     train: tuple[np.ndarray, np.ndarray],
     val: tuple[np.ndarray, np.ndarray],
 ) -> tuple[MLPModel, TrainReport]:
-    """Adam on mini-batch FVU with early stopping.
+    """Adam on mini-batch FVU with early stopping, in float32.
 
     Validation loss is evaluated once per epoch in eval mode; training
     stops after `patience` consecutive epochs without improvement or at
     max_epochs, and the returned parameters are those of the best epoch.
+    Moments, scratch and best-epoch buffers are allocated once per call;
+    every Adam step updates them in place.
     """
     x_train, y_train = np.asarray(train[0], float), np.asarray(train[1], float)
     x_val, y_val = np.asarray(val[0], float), np.asarray(val[1], float)
@@ -297,20 +327,23 @@ def train_mlp(
         ("validation features", x_val),
         ("validation targets", y_val),
     ):
-        bad = ~np.isfinite(arr).all(axis=1)
-        if bad.any():
-            raise MLPError(f"non-finite {name} at row {int(np.argmax(bad))}")
+        _check_rows(name, arr, TRAIN_DTYPE)
+    x_train, x_val = x_train.astype(TRAIN_DTYPE), x_val.astype(TRAIN_DTYPE)
 
     model = init_model(cfg)
+    model.weights = [w.astype(TRAIN_DTYPE) for w in model.weights]
+    model.biases = [b.astype(TRAIN_DTYPE) for b in model.biases]
     rng = np.random.default_rng(cfg.seed + 1)
 
     params = [*model.weights, *model.biases]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    best = [np.empty_like(p) for p in params]
+    flat_scratch = np.empty(max(p.size for p in params), dtype=TRAIN_DTYPE)
+    scratch = [flat_scratch[: p.size].reshape(p.shape) for p in params]
     step = 0
 
     best_val = np.inf
     best_epoch = 0
-    best: list[np.ndarray] = []
     bad_epochs = 0
     train_history: list[float] = []
     val_history: list[float] = []
@@ -329,12 +362,21 @@ def train_mlp(
             step += 1
             correction1 = 1.0 - ADAM_BETA1**step
             correction2 = 1.0 - ADAM_BETA2**step
-            for p, g, (m, v) in zip(params, [*d_w, *d_b], moments):
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), through the scratch view s
+            for p, g, (m, v), s in zip(params, [*d_w, *d_b], moments, scratch):
                 m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * g
+                np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+                m += s
                 v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * g**2
-                p -= cfg.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+                np.multiply(g, g, out=s)
+                s *= 1.0 - ADAM_BETA2
+                v += s
+                np.divide(v, correction2, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                np.divide(m, s, out=s)
+                s *= cfg.learning_rate / correction1
+                p -= s
             epoch_loss += loss
             n_batches += 1
         train_history.append(epoch_loss / max(1, n_batches))
@@ -348,7 +390,8 @@ def train_mlp(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best = [p.copy() for p in params]
+            for b, p in zip(best, params):
+                np.copyto(b, p)
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -420,7 +463,7 @@ def load_model(path) -> MLPModel:
         raise MLPError(
             f"checkpoint {path} holds {len(block)} parameter bytes, expected {expected}"
         )
-    flat = np.frombuffer(block, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(block, dtype="<f4").astype(np.float32)
     weights = []
     biases = []
     offset = 0

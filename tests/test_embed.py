@@ -276,6 +276,8 @@ class TestEmbeddingIO:
             ("2 2\na 0.1 0.2\na 0.3 0.4\n", "duplicate token 'a' on embedding line 3"),
             ("2 2\na 0.1 0.2\nb 0.3 nan\n", "non-finite value on embedding line 3"),
             ("2 2\na inf 0.2\nb 0.3 0.4\n", "non-finite value on embedding line 2"),
+            ("2 2\na 0.1 x\nb 0.3 0.4\n", "non-number on embedding line 2 in .*emb.txt: .*'x'"),
+            ("2 two\na 0.1 0.2\n", "header on line 1 in .*emb.txt: expected '<rows> <dim>', got '2 two'"),
         ],
     )
     def test_malformed_rows(self, tmp_path, text, message):

@@ -1,5 +1,6 @@
 """Multilabel regressor: architecture, FVU loss, backprop, training loop."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -346,11 +347,16 @@ class TestTraining:
             assert np.array_equal(w1, w2)
 
     def test_nonfinite_input_raises(self):
-        """Rejected up front, before any matmul can warn about it."""
+        """Rejected up front, before any matmul can warn about it; a finite
+        value float32 cannot hold is refused before the cast to float32
+        could turn it into inf."""
         cfg = MLPConfig(variant="base", input_dim=10, max_epochs=5, seed=0)
         for which, row, value, message in (
             (0, 0, np.inf, "non-finite train features at row 0"),
             (3, 4, np.nan, "non-finite validation targets at row 4"),
+            (0, 3, 1e300, "train features at row 3 exceed the float32 range"),
+            (1, 0, -1e300, "train targets at row 0 exceed the float32 range"),
+            (2, 7, 1e39, "validation features at row 7 exceed the float32 range"),
         ):
             arrays = [a.copy() for a in _split_task()]
             arrays[which][row, 1] = value
@@ -359,6 +365,22 @@ class TestTraining:
                 warnings.simplefilter("error")
                 with pytest.raises(MLPError, match=message):
                     train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+
+    def test_float32_model_refuses_out_of_range_input(self):
+        x_tr, y_tr, x_va, y_va = _split_task()
+        cfg = MLPConfig(variant="base", input_dim=10, max_epochs=2, seed=0)
+        model, _ = train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        x = np.ones((3, 10))
+        x[1, 4] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MLPError, match="input at row 1 exceed the float32 range"):
+                predict(model, x)
+            with pytest.raises(MLPError, match="input at row 0 exceed the float32 range"):
+                forward(model, x[1])
+            x[1, 4] = np.nan
+            with pytest.raises(MLPError, match="non-finite input at row 1"):
+                predict(model, x)
 
     def test_dimension_errors(self):
         x_tr, y_tr, x_va, y_va = _split_task()
@@ -411,10 +433,11 @@ class TestCheckpoint:
         assert loaded.config.variant == model.config.variant
         assert loaded.config.resolved_hidden() == model.config.resolved_hidden()
         assert loaded.config.input_dim == model.config.input_dim
-        for w, lw in zip(model.weights, loaded.weights):
-            np.testing.assert_allclose(lw, w, rtol=1e-6, atol=1e-7)
+        for p, lp in zip([*model.weights, *model.biases], [*loaded.weights, *loaded.biases]):
+            assert lp.dtype == np.float32
+            np.testing.assert_array_equal(lp, p)
         x = np.random.default_rng(1).normal(size=9)
-        np.testing.assert_allclose(predict(loaded, x), predict(model, x), rtol=1e-4, atol=1e-5)
+        np.testing.assert_array_equal(predict(loaded, x), predict(model, x))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -463,3 +486,52 @@ class TestCheckpoint:
         path.write_bytes(raw[:9] + len(body).to_bytes(4, "little") + body + raw[13 + header_len :])
         with pytest.raises(MLPError):
             load_model(path)
+
+
+class TestPrecision:
+    """float32 training, float64 loss and gradient oracles."""
+
+    def test_trained_parameters_are_float32(self):
+        x_tr, y_tr, x_va, y_va = _split_task()
+        cfg = MLPConfig(
+            variant="deep", input_dim=10, hidden_dims=(8, 6), batch_size=32,
+            max_epochs=3, seed=1,
+        )
+        model, report = train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        for p in [*model.weights, *model.biases]:
+            assert p.dtype == np.float32
+        assert predict(model, x_va).dtype == np.float32
+        assert isinstance(report.best_val_loss, float)
+
+    def test_oracle_model_grads_are_float64(self):
+        cfg = MLPConfig(variant="deep", input_dim=7, hidden_dims=(9,), dropout=0.2, seed=8)
+        model = init_model(cfg)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(5, 7))
+        y = rng.normal(size=(5, 26))
+        masks = make_dropout_masks(cfg, 5, np.random.default_rng(10))
+        assert all(m.dtype == np.float32 for m in masks if m is not None)
+        loss, d_w, d_b = loss_and_grads(model, x, y, masks)
+        assert isinstance(loss, float)
+        for g in [*d_w, *d_b]:
+            assert g.dtype == np.float64
+
+    def test_training_peak_memory_per_parameter(self):
+        """Moments, scratch and best-epoch buffers in float32, allocated
+        once: the traced peak of one call stays at or below 40 bytes per
+        parameter (float64 moments and per-step temporaries need ~65)."""
+        cfg = MLPConfig(
+            variant="deep", input_dim=16, hidden_dims=(1024, 256), batch_size=32,
+            max_epochs=3, patience=3, seed=1,
+        )
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(160, 16))
+        y = rng.random(size=(160, 26))
+        n_params = init_model(cfg).num_parameters()
+        tracemalloc.start()
+        try:
+            train_mlp(cfg, (x[:128], y[:128]), (x[128:], y[128:]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n_params <= 40.0
