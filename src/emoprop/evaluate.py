@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.special import betainc, ndtr, ndtri
 
-from .graph import DIMENSIONS, NUM_DIMENSIONS, NodeId, WordNetGraph
+from .graph import DIMENSIONS, NUM_DIMENSIONS, WordNetGraph
 from .mlp import MLPConfig, binarize
 from .propagate import propagate
 
@@ -437,14 +437,12 @@ def run_cv(
     mlp_cfg: MLPConfig,
     seed: int,
     retrain_per_wave: bool = False,
-    annotations: Mapping[NodeId, np.ndarray] | None = None,
     n_folds: int = NUM_FOLDS,
 ) -> CVResult:
     """Full cross-validated propagation: each fold seeds the model with
     its train block, early-stops on its val block and scores predictions
     against the held-out test block."""
-    if annotations is None:
-        annotations = g.annotations
+    annotations = g.annotations
     lu_ids = sorted(annotations)
     if len(lu_ids) < 2 * n_folds:
         raise EvalError(

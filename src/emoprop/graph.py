@@ -189,30 +189,64 @@ class WordNetGraph:
         return sorted(n for n in self.nodes if n.kind == SYNSET)
 
 
-def _parse_node_ref(obj: object, lineno: int) -> NodeId:
-    if not (isinstance(obj, list) and len(obj) == 3):
-        raise GraphError(f"line {lineno}: node reference must be [kind, id, lang], got {obj!r}")
-    kind, num, lang = obj
+# Fields of each record kind in the JSON-lines graph file: (required, optional).
+RECORD_FIELDS = {
+    SYNSET: (("id", "lang"), ()),
+    LEXICAL_UNIT: (("id", "lang"), ("lemma",)),
+    "edge": (("src", "dst", "rel", "category", "interlingual"), ()),
+    "annotation": (("lu", "values"), ()),
+}
+
+
+def _node_id(kind: object, num: object, lang: object) -> NodeId:
+    """A node line's or node reference's identity, with its JSON types checked."""
     if kind not in NODE_KINDS:
-        raise GraphError(f"line {lineno}: unknown kind {kind!r} in node reference")
+        raise GraphError(f"unknown kind {kind!r} in node reference")
     if not isinstance(num, int) or isinstance(num, bool):
-        raise GraphError(f"line {lineno}: node id must be an integer, got {num!r}")
+        raise GraphError(f"node id must be an integer, got {num!r}")
     if not isinstance(lang, str):
-        raise GraphError(f"line {lineno}: language must be a string, got {lang!r}")
+        raise GraphError(f"language must be a string, got {lang!r}")
     return NodeId(kind, num, lang)
+
+
+def _node_ref(ref: object, kind: str | None = None) -> NodeId:
+    """An edge endpoint ``[kind, id, lang]``, or ``[id, lang]`` when ``kind`` is fixed."""
+    prefix = [] if kind is None else [kind]
+    if not (isinstance(ref, list) and len(prefix) + len(ref) == 3):
+        shape = "[kind, id, lang]" if kind is None else "[id, lang]"
+        raise GraphError(f"node reference must be {shape}, got {ref!r}")
+    return _node_id(*prefix, *ref)
+
+
+def _add_record(g: WordNetGraph, obj: dict) -> None:
+    kind = obj["kind"]
+    if kind in NODE_KINDS:
+        g.add_node(_node_id(kind, obj["id"], obj["lang"]), lemma=obj.get("lemma"))
+    elif kind == "edge":
+        name, inter = obj["rel"], obj["interlingual"]
+        if not isinstance(name, str):
+            raise GraphError(f"relation name must be a string, got {name!r}")
+        if not isinstance(inter, bool):
+            raise GraphError("interlingual must be a boolean")
+        rel = RelationType(name, obj["category"], inter)
+        g.add_edge(Edge(_node_ref(obj["src"]), _node_ref(obj["dst"]), rel))
+    else:
+        node = _node_ref(obj["lu"], LEXICAL_UNIT)
+        if node in g.annotations:
+            raise GraphError(f"duplicate annotation for {node}")
+        g.set_annotation(node, obj["values"])
 
 
 def parse_wordnet_file(path: str | Path) -> WordNetGraph:
     """Parse a JSON-lines graph file into a validated WordNetGraph.
 
-    One object per line with a ``kind`` field in {synset, lu, edge,
-    annotation}.  Node definitions may appear in any order relative to the
-    edges that reference them; duplicate nodes, unknown endpoints and
-    malformed lines are errors reported with their line number.
+    One object per line with a ``kind`` field in ``RECORD_FIELDS``.  Node
+    definitions may appear in any order relative to the edges that
+    reference them; duplicate nodes, unknown endpoints and malformed lines
+    are errors reported with their line number.
     """
-    path = Path(path)
     records: list[tuple[int, dict]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -223,77 +257,25 @@ def parse_wordnet_file(path: str | Path) -> WordNetGraph:
                 raise GraphError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise GraphError(f"line {lineno}: expected an object with a 'kind' field")
+            kind = obj["kind"]
+            if not isinstance(kind, str) or kind not in RECORD_FIELDS:
+                raise GraphError(f"line {lineno}: unknown kind {kind!r}")
+            required, optional = RECORD_FIELDS[kind]
+            extra = set(obj) - {"kind", *required, *optional}
+            if extra:
+                raise GraphError(f"line {lineno}: unknown field {sorted(extra)[0]!r}")
+            missing = [key for key in required if key not in obj]
+            if missing:
+                raise GraphError(f"line {lineno}: missing field {missing[0]!r}")
             records.append((lineno, obj))
 
     g = WordNetGraph()
-    deferred: list[tuple[int, dict]] = []
-    for lineno, obj in records:
-        kind = obj["kind"]
-        if kind in (SYNSET, LEXICAL_UNIT):
-            extra = set(obj) - {"kind", "id", "lang", "lemma"}
-            if extra:
-                raise GraphError(f"line {lineno}: unknown field {sorted(extra)[0]!r}")
-            try:
-                num = obj["id"]
-                lang = obj["lang"]
-            except KeyError as exc:
-                raise GraphError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-            if not isinstance(num, int) or isinstance(num, bool):
-                raise GraphError(f"line {lineno}: node id must be an integer, got {num!r}")
-            lemma = obj.get("lemma")
-            if lemma is not None and kind != LEXICAL_UNIT:
-                raise GraphError(f"line {lineno}: lemma is only valid on lexical units")
-            try:
-                g.add_node(NodeId(kind, num, lang), lemma=lemma)
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from exc
-        elif kind in ("edge", "annotation"):
-            deferred.append((lineno, obj))
-        else:
-            raise GraphError(f"line {lineno}: unknown kind {kind!r}")
-
-    for lineno, obj in deferred:
-        if obj["kind"] == "edge":
-            extra = set(obj) - {"kind", "src", "dst", "rel", "category", "interlingual"}
-            if extra:
-                raise GraphError(f"line {lineno}: unknown field {sorted(extra)[0]!r}")
-            for key in ("src", "dst", "rel", "category", "interlingual"):
-                if key not in obj:
-                    raise GraphError(f"line {lineno}: missing field {key!r}")
-            src = _parse_node_ref(obj["src"], lineno)
-            dst = _parse_node_ref(obj["dst"], lineno)
-            rel_name = obj["rel"]
-            category = obj["category"]
-            inter = obj["interlingual"]
-            if not isinstance(rel_name, str) or not rel_name:
-                raise GraphError(f"line {lineno}: relation name must be a non-empty string")
-            if category not in EDGE_CATEGORIES:
-                raise GraphError(f"line {lineno}: bad edge category {category!r}")
-            if not isinstance(inter, bool):
-                raise GraphError(f"line {lineno}: interlingual must be a boolean")
-            try:
-                g.add_edge(Edge(src, dst, RelationType(rel_name, category, inter)))
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from exc
-        else:
-            extra = set(obj) - {"kind", "lu", "values"}
-            if extra:
-                raise GraphError(f"line {lineno}: unknown field {sorted(extra)[0]!r}")
-            ref = obj.get("lu")
-            if not (isinstance(ref, list) and len(ref) == 2):
-                raise GraphError(f"line {lineno}: annotation 'lu' must be [id, lang]")
-            num, lang = ref
-            if not isinstance(num, int) or isinstance(num, bool) or not isinstance(lang, str):
-                raise GraphError(f"line {lineno}: annotation 'lu' must be [id, lang]")
-            node = NodeId(LEXICAL_UNIT, num, lang)
-            if "values" not in obj:
-                raise GraphError(f"line {lineno}: missing field 'values'")
-            if node in g.annotations:
-                raise GraphError(f"line {lineno}: duplicate annotation for {node}")
-            try:
-                g.set_annotation(node, obj["values"])
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from exc
+    # Nodes first, so that edges and annotations may name nodes defined later.
+    for lineno, obj in sorted(records, key=lambda rec: rec[1]["kind"] not in NODE_KINDS):
+        try:
+            _add_record(g, obj)
+        except GraphError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from exc
     return g
 
 

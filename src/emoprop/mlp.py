@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -204,21 +204,10 @@ def make_dropout_masks(
     return masks
 
 
-def forward(
-    model: MLPModel, x: np.ndarray, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Single forward pass; pass an rng for train mode (fresh dropout
-    masks), omit it for deterministic eval mode."""
-    xb = _check_input(model, x)
-    masks = None
-    if rng is not None:
-        masks = make_dropout_masks(model.config, xb.shape[0], rng)
-    out, _ = _forward_cached(model, xb, masks)
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
 def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    return forward(model, x)
+    """Eval-mode forward pass (no dropout) of one sample or a batch."""
+    out, _ = _forward_cached(model, _check_input(model, x), None)
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def binarize(y: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -415,18 +404,7 @@ def save_model(model: MLPModel, path) -> None:
     layer shapes), then parameters as little-endian float32."""
     cfg = model.config
     header = {
-        "config": {
-            "variant": cfg.variant,
-            "input_dim": cfg.input_dim,
-            "output_dim": cfg.output_dim,
-            "hidden_dims": list(cfg.resolved_hidden()),
-            "dropout": cfg.dropout,
-            "patience": cfg.patience,
-            "max_epochs": cfg.max_epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "seed": cfg.seed,
-        },
+        "config": {**asdict(cfg), "hidden_dims": list(cfg.resolved_hidden())},
         "shapes": [list(w.shape) for w in model.weights],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -450,9 +428,12 @@ def load_model(path) -> MLPModel:
             raise MLPError(f"unsupported checkpoint version {version}")
         (blob_len,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(blob_len).decode("utf-8"))
-        cfg_dict = dict(header["config"])
-        cfg_dict["hidden_dims"] = tuple(cfg_dict["hidden_dims"])
-        cfg = MLPConfig(**cfg_dict)
+        keys, names = set(header["config"]), {f.name for f in fields(MLPConfig)}
+        if keys != names:
+            key = min(keys ^ names)
+            problem = "lacks the" if key in names else "has an unknown"
+            raise MLPError(f"checkpoint {path} config {problem} key {key!r}")
+        cfg = MLPConfig(**header["config"])
         dims = cfg.layer_dims()
         shapes = [tuple(shape) for shape in header["shapes"]]
         if shapes != dims:

@@ -1,6 +1,7 @@
 """Cross-validation harness and the statistics underneath it."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ class TestRunCv:
     def test_annotation_subset(self):
         g, table, cfg = _cv_fixture()
         subset = dict(sorted(g.annotations.items())[:20])
-        result = run_cv(g, table, cfg, seed=21, annotations=subset)
+        result = run_cv(replace(g, annotations=subset), table, cfg, seed=21)
         tested = sorted(x for fold in result.folds for x in fold.test)
         assert tested == sorted(subset)
 
@@ -374,4 +375,4 @@ class TestRunCv:
         g, table, cfg = _cv_fixture()
         subset = dict(sorted(g.annotations.items())[:4])
         with pytest.raises(EvalError, match="need at least 20 annotated"):
-            run_cv(g, table, cfg, seed=21, annotations=subset)
+            run_cv(replace(g, annotations=subset), table, cfg, seed=21)

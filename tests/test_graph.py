@@ -305,6 +305,47 @@ class TestParseAndWrite:
         with pytest.raises(GraphError, match="line 3: duplicate annotation"):
             parse_wordnet_file(_write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ('"src":["synset",1,"pl"],"dst":["lu",2,"pl"],"rel":"member","category":"SL",'
+             '"interlingual":false,"weight":1', "line 3: unknown field 'weight'"),
+            ('"src":["synset",1,"pl"],"dst":["lu",2,"pl"],"rel":"member","category":"SL"',
+             "line 3: missing field 'interlingual'"),
+            ('"src":["synset",true,"pl"],"dst":["lu",2,"pl"],"rel":"member","category":"SL",'
+             '"interlingual":false', "line 3: node id must be an integer, got True"),
+            ('"src":["synset",1],"dst":["lu",2,"pl"],"rel":"member","category":"SL",'
+             '"interlingual":false', r"line 3: node reference must be \[kind, id, lang\]"),
+        ],
+    )
+    def test_edge_record_schema(self, tmp_path, record, match):
+        text = (
+            '{"kind":"synset","id":1,"lang":"pl"}\n{"kind":"lu","id":2,"lang":"pl"}\n'
+            f'{{"kind":"edge",{record}}}\n'
+        )
+        with pytest.raises(GraphError, match=match):
+            parse_wordnet_file(_write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ('"lu":[2,"pl"],"values":VALUES,"source":"x"', "line 2: unknown field 'source'"),
+            ('"lu":[2,"pl"]', "line 2: missing field 'values'"),
+            ('"values":VALUES', "line 2: missing field 'lu'"),
+            ('"lu":[true,"pl"],"values":VALUES', "line 2: node id must be an integer, got True"),
+            ('"lu":[2,"pl",0],"values":VALUES', r"line 2: node reference must be \[id, lang\]"),
+            ('"lu":[2,5],"values":VALUES', "line 2: language must be a string, got 5"),
+        ],
+    )
+    def test_annotation_record_schema(self, tmp_path, record, match):
+        values = "[" + ",".join(["0.0"] * 26) + "]"
+        text = (
+            '{"kind":"lu","id":2,"lang":"pl"}\n'
+            f'{{"kind":"annotation",{record.replace("VALUES", values)}}}\n'
+        )
+        with pytest.raises(GraphError, match=match):
+            parse_wordnet_file(_write(tmp_path, text))
+
     def test_out_of_range_annotation_parses(self, tmp_path):
         """Range violations load fine and surface in the integrity report."""
         values = "[" + ",".join(["1.5"] + ["0.0"] * 25) + "]"

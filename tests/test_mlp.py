@@ -1,5 +1,6 @@
 """Multilabel regressor: architecture, FVU loss, backprop, training loop."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -11,7 +12,6 @@ from emoprop.mlp import (
     MLPError,
     MLPModel,
     binarize,
-    forward,
     fvu_loss,
     fvu_loss_and_grad,
     init_model,
@@ -22,6 +22,7 @@ from emoprop.mlp import (
     save_model,
     train_mlp,
     _batch_slices,
+    _forward_cached,
 )
 
 
@@ -112,13 +113,13 @@ class TestForward:
             weights=[np.zeros_like(w) for w in model.weights],
             biases=[np.zeros_like(b) for b in model.biases],
         )
-        out = forward(zeroed, np.ones(12))
+        out = predict(zeroed, np.ones(12))
         assert np.array_equal(out, np.zeros(26))
 
     def test_shapes(self):
         model = init_model(MLPConfig(variant="deep", input_dim=14, hidden_dims=(7,), seed=0))
-        assert forward(model, np.ones(14)).shape == (26,)
-        assert forward(model, np.ones((5, 14))).shape == (5, 26)
+        assert predict(model, np.ones(14)).shape == (26,)
+        assert predict(model, np.ones((5, 14))).shape == (5, 26)
 
     def test_full_deep_eval(self):
         model = init_model(MLPConfig(variant="deep", input_dim=300, seed=1))
@@ -130,14 +131,14 @@ class TestForward:
         cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=(6,), dropout=0.0, seed=2)
         model = init_model(cfg)
         x = np.random.default_rng(3).normal(size=(4, 10))
-        train_out = forward(model, x, rng=np.random.default_rng(9))
-        eval_out = forward(model, x)
-        assert np.array_equal(train_out, eval_out)
+        masks = make_dropout_masks(cfg, 4, np.random.default_rng(9))
+        train_out, _ = _forward_cached(model, x, masks)
+        assert np.array_equal(train_out, predict(model, x))
 
     def test_input_dim_mismatch(self):
         model = init_model(MLPConfig(variant="base", input_dim=10))
         with pytest.raises(MLPError):
-            forward(model, np.ones(11))
+            predict(model, np.ones(11))
 
     def test_mask_values(self):
         cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=(40, 40, 40), dropout=0.2, seed=0)
@@ -160,12 +161,13 @@ class TestForward:
             biases=list(model.biases),
         )
         x = np.abs(np.random.default_rng(1).normal(size=12))
-        expected = forward(positive, x)
+        expected = predict(positive, x)
         rng = np.random.default_rng(77)
         total = np.zeros(26)
         draws = 10000
         for _ in range(draws):
-            total += forward(positive, x, rng=rng)
+            out, _ = _forward_cached(positive, x[None, :], make_dropout_masks(cfg, 1, rng))
+            total += out[0]
         avg = total / draws
         rel = np.abs(avg - expected) / np.abs(expected)
         assert np.max(rel) < 0.02
@@ -377,7 +379,7 @@ class TestTraining:
             with pytest.raises(MLPError, match="input at row 1 exceed the float32 range"):
                 predict(model, x)
             with pytest.raises(MLPError, match="input at row 0 exceed the float32 range"):
-                forward(model, x[1])
+                predict(model, x[1])
             x[1, 4] = np.nan
             with pytest.raises(MLPError, match="non-finite input at row 1"):
                 predict(model, x)
@@ -471,6 +473,30 @@ class TestCheckpoint:
         expected = 4 * model.num_parameters()
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(MLPError, match=f"{expected + 4} parameter bytes, expected {expected}"):
+            load_model(path)
+
+    @staticmethod
+    def _edit_config(path, edit):
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[9:13], "little")
+        header = json.loads(raw[13 : 13 + header_len])
+        edit(header["config"])
+        body = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:9] + len(body).to_bytes(4, "little") + body + raw[13 + header_len :])
+
+    def test_missing_config_key(self, tmp_path):
+        """A header without `seed` must not load as the default seed 0."""
+        path = tmp_path / "model.ckpt"
+        save_model(self._trained(), path)
+        self._edit_config(path, lambda cfg: cfg.pop("seed"))
+        with pytest.raises(MLPError, match="config lacks the key 'seed'"):
+            load_model(path)
+
+    def test_unknown_config_key(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(self._trained(), path)
+        self._edit_config(path, lambda cfg: cfg.update(momentum=0.9))
+        with pytest.raises(MLPError, match="config has an unknown key 'momentum'"):
             load_model(path)
 
     def test_tampered_shape_chain(self, tmp_path):
