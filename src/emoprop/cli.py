@@ -9,7 +9,8 @@ import os
 import sys
 import textwrap
 
-from .pipeline import SECTIONS, STAGES, PipelineError, parse_config, run, section_fields
+from .pipeline import ALL_HELP, ARTIFACTS, SECTIONS, STAGE_TABLE, STAGES, PipelineError
+from .pipeline import parse_config, run, section_fields
 
 _EPILOG = """\
 config file (JSON; unknown keys are rejected, values must have their JSON
@@ -21,34 +22,41 @@ type: integers as integers, true/false for booleans):
 {sections}
 
 stages:
-  synth       generate a synthetic bilingual graph  -> graph.jsonl
-  walk        self-avoiding random-walk corpus      -> corpus.txt
-  embed       skip-gram embeddings of the corpus    -> embeddings.txt
-  train       regressor on all annotated LUs        -> model.ckpt
-  propagate   predict a masked fraction of LUs      -> propagation.jsonl
-  evaluate    cross-validated metrics (eval.folds)  -> metrics.json/.txt
-  all         every applicable stage in dependency order, skipping
-              stages whose config and inputs are unchanged (content hash)
+{stages}
 
 environment:
   EMOPROP_LOG sets the log level (DEBUG, INFO, WARNING, ERROR)
 """
 
 
+def _rows(rows) -> str:
+    """(name, text) rows: the text wrapped to 78 columns beside the name."""
+    return "\n".join(
+        textwrap.fill(text, 78, initial_indent=f"  {name:<12}", subsequent_indent=" " * 14)
+        for name, text in rows
+    )
+
+
 def _section_help() -> str:
     """Each config section's keys with their defaults, read from its dataclass."""
-    blocks = []
+    rows = []
     for name, (cls, _stage) in SECTIONS.items():
-        keys = ", ".join(
+        keys = (
             f"{f.name}=derived" if f.name == "seed"
             else f"{f.name}={json.dumps(f.default, separators=(',', ':'))}"
             for f in section_fields(cls)
         )
-        indent = f"  {name:<12}"
-        blocks.append(
-            textwrap.fill(keys, 78, initial_indent=indent, subsequent_indent=" " * 14)
-        )
-    return "\n".join(blocks)
+        rows.append((name, ", ".join(keys)))
+    return _rows(rows)
+
+
+def _stage_help() -> str:
+    """Each stage's help line and the files it writes, read from the stage table."""
+    rows = [
+        (name, f"{stage.help:<34} -> {', '.join(ARTIFACTS[a] for a in stage.outputs)}")
+        for name, stage in STAGE_TABLE.items()
+    ]
+    return _rows([*rows, ("all", ALL_HELP)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="emoprop",
         description="Lexical-graph emotion propagation pipeline: random-walk "
         "embeddings, multilabel regression, cross-validated evaluation.",
-        epilog=_EPILOG.format(sections=_section_help()),
+        epilog=_EPILOG.format(sections=_section_help(), stages=_stage_help()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("stage", choices=STAGES, help="pipeline stage to run")

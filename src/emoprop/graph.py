@@ -92,8 +92,15 @@ def _expected_kinds(category: str) -> tuple[str, str]:
 
 
 def validate_annotation(values: Iterable[float], where: str = "annotation") -> np.ndarray:
-    """Coerce to a float vector of exactly NUM_DIMENSIONS finite entries."""
-    arr = np.asarray(list(values), dtype=np.float64)
+    """Coerce to a float vector of exactly NUM_DIMENSIONS finite numbers;
+    strings, booleans and nulls are not numbers."""
+    try:
+        arr = np.asarray(list(values))
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise GraphError(f"{where}: expected a list of numbers, got {values!r}")
+    arr = arr.astype(np.float64)
     if arr.shape != (NUM_DIMENSIONS,):
         raise GraphError(f"{where}: expected {NUM_DIMENSIONS} values, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -221,7 +228,10 @@ def _node_ref(ref: object, kind: str | None = None) -> NodeId:
 def _add_record(g: WordNetGraph, obj: dict) -> None:
     kind = obj["kind"]
     if kind in NODE_KINDS:
-        g.add_node(_node_id(kind, obj["id"], obj["lang"]), lemma=obj.get("lemma"))
+        lemma = obj.get("lemma")
+        if lemma is not None and not isinstance(lemma, str):
+            raise GraphError(f"lemma must be a string, got {lemma!r}")
+        g.add_node(_node_id(kind, obj["id"], obj["lang"]), lemma=lemma)
     elif kind == "edge":
         name, inter = obj["rel"], obj["interlingual"]
         if not isinstance(name, str):

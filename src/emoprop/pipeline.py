@@ -16,8 +16,9 @@ import json
 import logging
 import math
 from dataclasses import Field, asdict, dataclass, field, fields, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,30 +33,20 @@ from .embed import EmbedConfig, load_embeddings, save_embeddings, train_embeddin
 from .evaluate import format_metrics_table, run_cv
 from .graph import WordNetGraph, parse_wordnet_file, write_wordnet_file
 from .mlp import MLPConfig, save_model, train_mlp
-from .propagate import propagate, save_propagation
+from .propagate import annotation_matrix, embedding_matrix, propagate, save_propagation
 from .synth import SynthConfig, generate
 
 log = logging.getLogger(__name__)
 
-STAGE_ORDER = ("synth", "walk", "embed", "train", "propagate", "evaluate")
-STAGES = (*STAGE_ORDER, "all")
-
-# required input / produced output artifact names per stage
-STAGE_INPUTS = {
-    "synth": (),
-    "walk": ("graph",),
-    "embed": ("corpus",),
-    "train": ("graph", "embeddings"),
-    "propagate": ("graph", "embeddings"),
-    "evaluate": ("graph", "embeddings"),
-}
-STAGE_OUTPUTS = {
-    "synth": ("graph",),
-    "walk": ("corpus",),
-    "embed": ("embeddings",),
-    "train": ("model",),
-    "propagate": ("propagation",),
-    "evaluate": ("metrics_json", "metrics_txt"),
+# artifact name -> its file in out_dir (a config "graph" path replaces the graph's)
+ARTIFACTS = {
+    "graph": "graph.jsonl",
+    "corpus": "corpus.txt",
+    "embeddings": "embeddings.txt",
+    "model": "model.ckpt",
+    "propagation": "propagation.jsonl",
+    "metrics_json": "metrics.json",
+    "metrics_txt": "metrics.txt",
 }
 
 
@@ -223,16 +214,10 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 
 def artifact_paths(cfg: PipelineConfig) -> dict[str, Path]:
-    out = Path(cfg.out_dir)
-    return {
-        "graph": Path(cfg.graph) if cfg.graph is not None else out / "graph.jsonl",
-        "corpus": out / "corpus.txt",
-        "embeddings": out / "embeddings.txt",
-        "model": out / "model.ckpt",
-        "propagation": out / "propagation.jsonl",
-        "metrics_json": out / "metrics.json",
-        "metrics_txt": out / "metrics.txt",
-    }
+    paths = {name: Path(cfg.out_dir) / file for name, file in ARTIFACTS.items()}
+    if cfg.graph is not None:
+        paths["graph"] = Path(cfg.graph)
+    return paths
 
 
 def _hash_file(path: Path) -> str:
@@ -243,49 +228,30 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _stage_config(stage: str, cfg: PipelineConfig) -> dict:
-    """The config subset a stage's output depends on, for cache keying."""
-    if stage in ("synth", "walk", "embed"):
-        return asdict({"synth": cfg.synth, "walk": cfg.corpus, "embed": cfg.embed}[stage])
-    mlp_dict = asdict(cfg.mlp)
-    mlp_dict.pop("input_dim")  # derived from the embeddings artifact
-    if stage == "train":
-        return {"mlp": mlp_dict, "split_seed": stage_seed(cfg.seed, "train-split")}
-    if stage == "propagate":
-        return {
-            "mlp": mlp_dict,
-            **asdict(cfg.propagate),
-            "mask_seed": stage_seed(cfg.seed, "propagate"),
-        }
-    if stage == "evaluate":
-        return {
-            "mlp": mlp_dict,
-            "retrain_per_wave": cfg.propagate.retrain_per_wave,
-            **asdict(cfg.eval),
-        }
-    raise PipelineError(f"unknown stage {stage!r}")
-
-
 def _annotated_split(
-    g: WordNetGraph, rng: np.random.Generator, fractions: tuple[float, ...]
+    g: WordNetGraph, stage: str, seed: int, fractions: tuple[float, ...]
 ) -> list[list]:
     """Shuffle annotated LUs and cut off len(fractions) leading groups
-    sized round(f*N) (min 1); the remainder is the final group."""
+    sized round(f*N) (min 1); the remainder is the final group.  The last
+    two groups validate and train a regressor, so each needs 2 LUs."""
     lus = sorted(g.annotations)
-    order = rng.permutation(len(lus))
+    order = np.random.default_rng(seed).permutation(len(lus))
     shuffled = [lus[i] for i in order]
-    groups = []
-    pos = 0
-    for f in fractions:
-        size = max(1, round(f * len(lus)))
-        groups.append(shuffled[pos : pos + size])
-        pos += size
-    groups.append(shuffled[pos:])
+    bounds = [0, *accumulate(max(1, round(f * len(lus))) for f in fractions), None]
+    groups = [shuffled[a:b] for a, b in zip(bounds, bounds[1:])]
+    if len(groups[-2]) < 2 or len(groups[-1]) < 2:
+        raise PipelineError(
+            f"{stage} needs at least 2 validation and 2 training LUs; its split of "
+            f"{len(lus)} annotated LUs gives {len(groups[-2])} and {len(groups[-1])}"
+        )
     return groups
 
 
-def _load_stage_inputs(paths: dict) -> tuple[WordNetGraph, object]:
-    """The graph and the embeddings, which must cover every annotated LU."""
+def _load_regressor_inputs(
+    cfg: PipelineConfig, paths: dict
+) -> tuple[WordNetGraph, object, MLPConfig]:
+    """The graph, the embeddings (which must cover every annotated LU) and
+    the regressor config sized to them."""
     g = parse_wordnet_file(paths["graph"])
     table = load_embeddings(paths["embeddings"])
     missing = [node_token(lu) for lu in sorted(g.annotations) if node_token(lu) not in table]
@@ -293,102 +259,66 @@ def _load_stage_inputs(paths: dict) -> tuple[WordNetGraph, object]:
         shown = ", ".join(missing[:10])
         more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
         raise PipelineError(f"no embedding for annotated LUs: {shown}{more}")
-    return g, table
+    return g, table, replace(cfg.mlp, input_dim=table.dim)
 
 
-def _stage_synth(cfg: PipelineConfig, paths: dict) -> str:
+def _stage_synth(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     g, _gold = generate(cfg.synth)
     write_wordnet_file(g, paths["graph"])
-    return (
-        f"synth: {len(g.nodes)} nodes, {len(g.edges)} edges, "
-        f"{len(g.annotations)} annotated LUs -> {paths['graph']}"
-    )
+    return f"{len(g.nodes)} nodes, {len(g.edges)} edges, {len(g.annotations)} annotated LUs"
 
 
-def _stage_walk(cfg: PipelineConfig, paths: dict) -> str:
-    g = parse_wordnet_file(paths["graph"])
+def _stage_walk(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     c = cfg.corpus
-    corpus = generate_corpus(
-        g,
-        c.num_walks,
-        c.length,
-        c.seed,
-        cross_lingual=c.cross_lingual,
-        start_kind=c.start_kind,
-    )
+    corpus = generate_corpus(parse_wordnet_file(paths["graph"]), **asdict(c))
     save_corpus(corpus, paths["corpus"])
     mode = "cross-lingual" if c.cross_lingual else "monolingual"
-    return (
-        f"walk: {len(corpus.sequences)} {mode} walks of length {c.length} "
-        f"-> {paths['corpus']}"
-    )
+    return f"{len(corpus.sequences)} {mode} walks of length {c.length}"
 
 
-def _stage_embed(cfg: PipelineConfig, paths: dict) -> str:
+def _stage_embed(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     sequences = load_corpus_sequences(paths["corpus"])
     table = train_embeddings(sequences, cfg.embed)
     save_embeddings(table, paths["embeddings"])
     final_loss = table.loss_history[-1] if table.loss_history else float("nan")
-    return (
-        f"embed: {len(table.vocab.tokens)} tokens, dim {table.dim}, "
-        f"final loss {final_loss:.4f} -> {paths['embeddings']}"
+    return f"{len(table.vocab.tokens)} tokens, dim {table.dim}, final loss {final_loss:.4f}"
+
+
+def _stage_train(cfg: PipelineConfig, paths: dict, key: dict) -> str:
+    g, table, mcfg = _load_regressor_inputs(cfg, paths)
+    val_lus, train_lus = _annotated_split(g, "train", key["split_seed"], (0.1,))
+    train, val = (
+        (embedding_matrix(table, lus), annotation_matrix(g.annotations, lus))
+        for lus in (train_lus, val_lus)
     )
-
-
-def _stage_train(cfg: PipelineConfig, paths: dict) -> str:
-    g, table = _load_stage_inputs(paths)
-    if len(g.annotations) < 2:
-        raise PipelineError("train needs at least 2 annotated LUs")
-    rng = np.random.default_rng(stage_seed(cfg.seed, "train-split"))
-    val_lus, train_lus = _annotated_split(g, rng, (0.1,))
-    mcfg = replace(cfg.mlp, input_dim=table.dim)
-
-    def matrix(lus):
-        x = np.stack([table.vector_of(node_token(lu)) for lu in lus])
-        y = np.stack([g.annotations[lu] for lu in lus])
-        return x, y
-
-    model, report = train_mlp(mcfg, matrix(train_lus), matrix(val_lus))
+    model, report = train_mlp(mcfg, train, val)
     save_model(model, paths["model"])
     return (
-        f"train: {mcfg.variant} ({model.num_parameters()} parameters), "
-        f"best val loss {report.best_val_loss:.4f} at epoch {report.best_epoch} "
-        f"-> {paths['model']}"
+        f"{mcfg.variant} ({model.num_parameters()} parameters), "
+        f"best val loss {report.best_val_loss:.4f} at epoch {report.best_epoch}"
     )
 
 
-def _stage_propagate(cfg: PipelineConfig, paths: dict) -> str:
-    g, table = _load_stage_inputs(paths)
-    if len(g.annotations) < 3:
-        raise PipelineError("propagate needs at least 3 annotated LUs")
-    rng = np.random.default_rng(stage_seed(cfg.seed, "propagate"))
+def _stage_propagate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
+    g, table, mcfg = _load_regressor_inputs(cfg, paths)
     fractions = (cfg.propagate.mask_fraction, 0.1)
-    targets, val_lus, seed_lus = _annotated_split(g, rng, fractions)
-    if not seed_lus:
-        raise PipelineError("mask_fraction leaves no seed LUs")
-    mcfg = replace(cfg.mlp, input_dim=table.dim)
-    result = propagate(
-        g,
-        table,
-        mcfg,
-        {lu: g.annotations[lu] for lu in seed_lus},
-        {lu: g.annotations[lu] for lu in val_lus},
-        targets,
-        retrain_per_wave=cfg.propagate.retrain_per_wave,
-    )
+    targets, val_lus, seed_lus = _annotated_split(g, "propagate", key["mask_seed"], fractions)
+    seed, val = ({lu: g.annotations[lu] for lu in lus} for lus in (seed_lus, val_lus))
+    retrain = cfg.propagate.retrain_per_wave
+    result = propagate(g, table, mcfg, seed, val, targets, retrain_per_wave=retrain)
     save_propagation(result, paths["propagation"])
     return (
-        f"propagate: {len(result.predictions)} LUs in {len(result.plan.waves)} waves "
-        f"({len(result.plan.unreachable)} unreachable) -> {paths['propagation']}"
+        f"{len(result.predictions)} LUs in {len(result.plan.waves)} waves "
+        f"({len(result.plan.unreachable)} unreachable)"
     )
 
 
-def _stage_evaluate(cfg: PipelineConfig, paths: dict) -> str:
-    g, table = _load_stage_inputs(paths)
+def _stage_evaluate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
+    g, table, mcfg = _load_regressor_inputs(cfg, paths)
     cv = run_cv(
         g,
         table,
-        replace(cfg.mlp, input_dim=table.dim),
+        mcfg,
         cfg.eval.seed,
         retrain_per_wave=cfg.propagate.retrain_per_wave,
         n_folds=cfg.eval.folds,
@@ -402,24 +332,71 @@ def _stage_evaluate(cfg: PipelineConfig, paths: dict) -> str:
     micro = cv.aggregate["micro"]["f1"]
     pooled = cv.aggregate["pooled_r"]
     return (
-        f"evaluate: micro F1 {micro['mean']:.3f} ± {micro['sd']:.3f}, "
-        f"pooled R {pooled['mean']:.3f} ± {pooled['sd']:.3f} "
-        f"over {cfg.eval.folds} folds -> {paths['metrics_json']}"
+        f"micro F1 {micro['mean']:.3f} ± {micro['sd']:.3f}, "
+        f"pooled R {pooled['mean']:.3f} ± {pooled['sd']:.3f} over {cfg.eval.folds} folds"
     )
 
 
-_STAGE_FN: dict[str, Callable[[PipelineConfig, dict], str]] = {
-    "synth": _stage_synth,
-    "walk": _stage_walk,
-    "embed": _stage_embed,
-    "train": _stage_train,
-    "propagate": _stage_propagate,
-    "evaluate": _stage_evaluate,
+def _mlp_key(cfg: PipelineConfig) -> dict:
+    """The regressor config without input_dim, which the embeddings fix."""
+    return {k: v for k, v in asdict(cfg.mlp).items() if k != "input_dim"}
+
+
+class Stage(NamedTuple):
+    """``key`` picks the config the outputs depend on; ``body`` gets it with
+    the config and artifact paths, writes the outputs and returns the
+    summary that run_stage frames with the stage name and first output."""
+
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    body: Callable[[PipelineConfig, dict, dict], str]
+    key: Callable[[PipelineConfig], dict]
+    help: str
+
+
+# every stage, in dependency order
+STAGE_TABLE = {
+    "synth": Stage(
+        (), ("graph",), _stage_synth, lambda cfg: asdict(cfg.synth),
+        "synthetic bilingual graph",
+    ),
+    "walk": Stage(
+        ("graph",), ("corpus",), _stage_walk, lambda cfg: asdict(cfg.corpus),
+        "self-avoiding random-walk corpus",
+    ),
+    "embed": Stage(
+        ("corpus",), ("embeddings",), _stage_embed, lambda cfg: asdict(cfg.embed),
+        "skip-gram embeddings of the corpus",
+    ),
+    "train": Stage(
+        ("graph", "embeddings"), ("model",), _stage_train,
+        lambda cfg: {"mlp": _mlp_key(cfg), "split_seed": stage_seed(cfg.seed, "train-split")},
+        "regressor on 90% of annotated LUs",
+    ),
+    "propagate": Stage(
+        ("graph", "embeddings"), ("propagation",), _stage_propagate,
+        lambda cfg: {
+            "mlp": _mlp_key(cfg),
+            **asdict(cfg.propagate),
+            "mask_seed": stage_seed(cfg.seed, "propagate"),
+        },
+        "predict a masked fraction of LUs",
+    ),
+    "evaluate": Stage(
+        ("graph", "embeddings"), ("metrics_json", "metrics_txt"), _stage_evaluate,
+        lambda cfg: {
+            "mlp": _mlp_key(cfg),
+            "retrain_per_wave": cfg.propagate.retrain_per_wave,
+            **asdict(cfg.eval),
+        },
+        "k-fold CV metrics (eval.folds)",
+    ),
 }
-
-
-def _cache_stamp_path(cfg: PipelineConfig, stage: str) -> Path:
-    return Path(cfg.out_dir) / ".cache" / f"{stage}.json"
+STAGES = (*STAGE_TABLE, "all")
+ALL_HELP = (
+    "every applicable stage in dependency order, skipping stages whose "
+    "config and inputs are unchanged (content hash)"
+)
 
 
 def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
@@ -429,46 +406,39 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
     """
     if stage == "synth" and cfg.synth is None:
         raise PipelineError("synth stage requires a synth section in the config")
+    spec = STAGE_TABLE[stage]
     paths = artifact_paths(cfg)
-    for name in STAGE_INPUTS[stage]:
+    for name in spec.inputs:
         if not paths[name].exists():
-            producer = next(s for s, outs in STAGE_OUTPUTS.items() if name in outs)
+            producer = next(s for s, other in STAGE_TABLE.items() if name in other.outputs)
             raise PipelineError(
                 f"missing input artifact {paths[name]} (produced by the "
                 f"{producer!r} stage)"
             )
 
-    key_src = hashlib.sha256()
-    key_src.update(stage.encode())
-    key_src.update(
-        json.dumps(_stage_config(stage, cfg), sort_keys=True, default=list).encode()
-    )
-    for name in STAGE_INPUTS[stage]:
-        key_src.update(name.encode())
-        key_src.update(_hash_file(paths[name]).encode())
-    key = key_src.hexdigest()
+    key_config = spec.key(cfg)
+    parts = [stage, json.dumps(key_config, sort_keys=True, default=list)]
+    parts += [part for name in spec.inputs for part in (name, _hash_file(paths[name]))]
+    key = hashlib.sha256("".join(parts).encode()).hexdigest()
 
-    stamp_path = _cache_stamp_path(cfg, stage)
-    outputs = {str(paths[name]): None for name in STAGE_OUTPUTS[stage]}
-    if stamp_path.exists():
-        try:
-            stamp = json.loads(stamp_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            stamp = {}
-        if stamp.get("key") == key and all(
-            Path(p).exists() and _hash_file(Path(p)) == digest
-            for p, digest in stamp.get("outputs", {}).items()
-        ) and set(stamp.get("outputs", {})) == set(outputs):
-            return f"{stage}: cached ({', '.join(sorted(outputs))})", True
+    outputs = [paths[name] for name in spec.outputs]
+
+    def stamp() -> dict:
+        return {"key": key, "outputs": {str(p): _hash_file(p) for p in outputs}}
+
+    stamp_path = Path(cfg.out_dir) / ".cache" / f"{stage}.json"
+    try:
+        cached = json.loads(stamp_path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        cached = {}
+    key_matches = isinstance(cached, dict) and cached.get("key") == key
+    if key_matches and all(p.exists() for p in outputs) and cached == stamp():
+        return f"{stage}: cached ({', '.join(sorted(map(str, outputs)))})", True
 
     log.debug("running stage %s (key %s)", stage, key[:12])
-    summary = _STAGE_FN[stage](cfg, paths)
+    summary = f"{stage}: {spec.body(cfg, paths, key_config)} -> {outputs[0]}"
     stamp_path.parent.mkdir(parents=True, exist_ok=True)
-    stamp = {
-        "key": key,
-        "outputs": {str(paths[n]): _hash_file(paths[n]) for n in STAGE_OUTPUTS[stage]},
-    }
-    stamp_path.write_text(json.dumps(stamp, indent=2) + "\n", encoding="utf-8")
+    stamp_path.write_text(json.dumps(stamp(), indent=2) + "\n", encoding="utf-8")
     return summary, False
 
 
@@ -479,11 +449,8 @@ def run(stage: str, cfg: PipelineConfig, echo: Callable[[str], None] = print) ->
     if stage not in STAGES:
         raise PipelineError(f"unknown stage {stage!r}; choose from {STAGES}")
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    if stage == "all":
-        stages = [s for s in STAGE_ORDER if s != "synth" or cfg.synth is not None]
-    else:
-        stages = [stage]
-    for s in stages:
+    stages = [s for s in STAGE_TABLE if s != "synth" or cfg.synth is not None]
+    for s in stages if stage == "all" else [stage]:
         summary, _cached = run_stage(s, cfg)
         echo(summary)
     return 0

@@ -111,14 +111,14 @@ def build_plan(
     )
 
 
-def _embedding_matrix(embeddings, lus: Iterable[NodeId]) -> np.ndarray:
+def embedding_matrix(embeddings, lus: Iterable[NodeId]) -> np.ndarray:
     lus = list(lus)
     if not lus:
         return np.zeros((0, embeddings.dim))
     return np.stack([embeddings.vector_of(node_token(lu)) for lu in lus])
 
 
-def _annotation_matrix(annotations: Mapping[NodeId, np.ndarray], lus) -> np.ndarray:
+def annotation_matrix(annotations: Mapping[NodeId, np.ndarray], lus) -> np.ndarray:
     rows = []
     for lu in lus:
         vec = np.asarray(annotations[lu], dtype=np.float64)
@@ -163,10 +163,10 @@ def propagate(
 
     plan = build_plan(g, seed_ids, target_ids)
 
-    x_train = _embedding_matrix(embeddings, seed_ids)
-    y_train = _annotation_matrix(seed, seed_ids)
-    x_val = _embedding_matrix(embeddings, val_ids)
-    y_val = _annotation_matrix(val, val_ids)
+    x_train = embedding_matrix(embeddings, seed_ids)
+    y_train = annotation_matrix(seed, seed_ids)
+    x_val = embedding_matrix(embeddings, val_ids)
+    y_val = annotation_matrix(val, val_ids)
 
     model, report = train_mlp(cfg, (x_train, y_train), (x_val, y_val))
     initial_model = model
@@ -174,7 +174,7 @@ def propagate(
 
     predictions: dict[NodeId, Prediction] = {}
     for wi, wave in enumerate(plan.waves):
-        x_wave = _embedding_matrix(embeddings, wave.lus)
+        x_wave = embedding_matrix(embeddings, wave.lus)
         raw = np.atleast_2d(predict(model, x_wave))
         labels = binarize(raw)
         for i, lu in enumerate(wave.lus):
@@ -186,7 +186,7 @@ def propagate(
             wave_reports.append(wave_report)
 
     if plan.unreachable:
-        x_un = _embedding_matrix(embeddings, plan.unreachable)
+        x_un = embedding_matrix(embeddings, plan.unreachable)
         raw = np.atleast_2d(predict(initial_model, x_un))
         labels = binarize(raw)
         for i, lu in enumerate(plan.unreachable):

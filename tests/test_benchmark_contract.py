@@ -1,17 +1,38 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 module attribute; a rename must fail here, not only in a traced run."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+import emoprop.cli
+from test_pipeline import micro_config
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
+# reached only by the benchmark's own code, never by `emoprop all`
+BENCHMARK_ONLY = {
+    ("emoprop.graph", "parse_wordnet_file"),
+    ("emoprop.embed", "load_embeddings"),
+    ("emoprop.evaluate", "run_cv"),
+}
 
-def test_every_traced_name_resolves_to_a_callable():
+
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    spans = load_spans()
     missing = [
         f"{module_name}.{attr}"
         for module_name, attr in spans.TARGETS
@@ -19,3 +40,39 @@ def test_every_traced_name_resolves_to_a_callable():
     ]
     assert spans.TARGETS
     assert missing == []
+
+
+def test_traced_all_calls_every_target_at_its_own_call_site(tmp_path):
+    """A traced `emoprop all` reaches each target through the module
+    attribute the tracer replaces: a function captured at import (say, in a
+    table) would bypass the wrapper, and a span of the same name from
+    another call site would hide that."""
+    spans = load_spans()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(micro_config(tmp_path / "out")), encoding="utf-8")
+    calls = Counter()
+
+    def counted(target, fn):
+        def wrapper(*args, **kwargs):
+            calls[target] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    tracer = spans.Tracer()
+    stdout = io.StringIO()
+    with tracer.installed(), pytest.MonkeyPatch.context() as mp:
+        for target in spans.TARGETS:
+            module = importlib.import_module(target[0])
+            mp.setattr(module, target[1], counted(target, getattr(module, target[1])))
+        with contextlib.redirect_stdout(stdout):
+            assert emoprop.cli.main(["all", "--config", str(config)]) == 0
+
+    uncalled = [t for t in spans.TARGETS if t not in BENCHMARK_ONLY and not calls[t]]
+    assert uncalled == []
+    stages = [line.split(":")[0] for line in stdout.getvalue().splitlines()]
+    tagged = [s["tags"] for s in tracer.spans if s["name"] == "pipeline.run_stage"]
+    assert [(t["stage"], t["cached"]) for t in tagged] == [(s, False) for s in stages]
+    assert len(stages) == 6
+    steps = sum(s["name"] == "mlp.loss_and_grads" for s in tracer.spans)
+    assert steps == spans.expected_steps(tracer.spans) > 0

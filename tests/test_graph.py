@@ -284,6 +284,11 @@ class TestParseAndWrite:
         with pytest.raises(GraphError, match="lemma"):
             parse_wordnet_file(_write(tmp_path, text))
 
+    def test_lemma_must_be_a_string(self, tmp_path):
+        text = '{"kind":"lu","id":1,"lang":"pl","lemma":5}\n'
+        with pytest.raises(GraphError, match="^line 1: lemma must be a string, got 5$"):
+            parse_wordnet_file(_write(tmp_path, text))
+
     def test_bool_id_rejected(self, tmp_path):
         with pytest.raises(GraphError, match="integer"):
             parse_wordnet_file(_write(tmp_path, '{"kind":"lu","id":true,"lang":"pl"}\n'))
@@ -335,6 +340,10 @@ class TestParseAndWrite:
             ('"lu":[true,"pl"],"values":VALUES', "line 2: node id must be an integer, got True"),
             ('"lu":[2,"pl",0],"values":VALUES', r"line 2: node reference must be \[id, lang\]"),
             ('"lu":[2,5],"values":VALUES', "line 2: language must be a string, got 5"),
+            ('"lu":[2,"pl"],"values":5', "line 2: annotation for .*: expected a list of numbers, got 5$"),
+            ('"lu":[2,"pl"],"values":null', "line 2: .*expected a list of numbers, got None$"),
+            ('"lu":[2,"pl"],"values":"abc"', "line 2: .*expected a list of numbers, got 'abc'$"),
+            ('"lu":[2,"pl"],"values":["0.5"]', r"line 2: .*expected a list of numbers, got \['0.5'\]"),
         ],
     )
     def test_annotation_record_schema(self, tmp_path, record, match):

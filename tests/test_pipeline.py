@@ -11,12 +11,14 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emoprop
 from emoprop.cli import main
-from emoprop.corpus import CorpusConfig
+from emoprop.corpus import CorpusConfig, node_token
 from emoprop.embed import EmbedConfig
+from emoprop.graph import NUM_DIMENSIONS, write_wordnet_file
 from emoprop.mlp import MLPConfig
 from emoprop.pipeline import (
     ConfigError,
@@ -30,6 +32,8 @@ from emoprop.pipeline import (
     stage_seed,
 )
 from emoprop.synth import SynthConfig
+
+from helpers import chain_graph
 
 ARTIFACTS = (
     "graph.jsonl",
@@ -277,6 +281,13 @@ class TestStagesAndCache:
         for name in ARTIFACTS:
             assert (out / name).read_bytes() == before[name]
 
+    def test_stamp_that_is_not_an_object_reruns_the_stage(self, micro_run):
+        out, doc, _lines = micro_run
+        (out / ".cache" / "synth.json").write_text("[]\n", encoding="utf-8")
+        lines = []
+        assert run("synth", config_from_dict(doc), echo=lines.append) == 0
+        assert lines[0].startswith("synth: ") and "cached" not in lines[0]
+
     def test_changed_walk_seed_invalidates_downstream_only(self, micro_run):
         out, doc, _lines = micro_run
         changed = json.loads(json.dumps(doc))
@@ -360,6 +371,54 @@ class TestStagesAndCache:
         assert str(paths["metrics_json"]) == "art/metrics.json"
 
 
+def annotated_inputs(out, n_annotated, **propagate):
+    """A graph file with ``n_annotated`` annotated LUs on a synset chain, a
+    dim-4 embedding file covering every node, and a config reading both."""
+    g = chain_graph(n_synsets=n_annotated)
+    rng = np.random.default_rng(0)
+    for node in g.lexical_units():
+        g.set_annotation(node, rng.random(NUM_DIMENSIONS))
+    write_wordnet_file(g, out / "graph.jsonl")
+    rows = [" ".join([node_token(n), *map(str, rng.normal(size=4))]) for n in sorted(g.nodes)]
+    (out / "embeddings.txt").write_text(f"{len(rows)} 4\n" + "\n".join(rows) + "\n")
+    return config_from_dict({
+        "seed": 0,
+        "graph": str(out / "graph.jsonl"),
+        "out_dir": str(out),
+        "embed": {"dim": 4},
+        "mlp": {"max_epochs": 2},
+        "propagate": propagate,
+    })
+
+
+class TestSplitGuards:
+    """A regressor needs 2 validation and 2 training LUs (FVU is undefined
+    on one sample), so a smaller split stops the stage before training."""
+
+    @pytest.mark.parametrize("stage", ["train", "propagate"])
+    @pytest.mark.parametrize("n_annotated", [6, 12])
+    def test_too_few_annotated_lus(self, tmp_path, stage, n_annotated):
+        cfg = annotated_inputs(tmp_path, n_annotated)
+        message = (
+            f"^{stage} needs at least 2 validation and 2 training LUs; its split of "
+            rf"{n_annotated} annotated LUs gives 1 and \d+$"
+        )
+        with pytest.raises(PipelineError, match=message):
+            run(stage, cfg, echo=lambda _: None)
+
+    def test_mask_fraction_leaving_too_few_training_lus(self, tmp_path):
+        cfg = annotated_inputs(tmp_path, 20, mask_fraction=0.85)
+        with pytest.raises(PipelineError, match="20 annotated LUs gives 2 and 1$"):
+            run("propagate", cfg, echo=lambda _: None)
+
+    @pytest.mark.parametrize("stage", ["train", "propagate"])
+    def test_smallest_viable_split_runs(self, tmp_path, stage):
+        # 15 is the smallest count whose 10% rounds to 2
+        lines = []
+        assert run(stage, annotated_inputs(tmp_path, 15), echo=lines.append) == 0
+        assert lines[0].startswith(f"{stage}: ")
+
+
 class TestCli:
     @pytest.fixture()
     def config_file(self, micro_run, tmp_path):
@@ -414,6 +473,22 @@ class TestCli:
             for f in fields(cls):
                 if f.name not in ("input_dim", "output_dim"):
                     assert re.search(rf"\b{f.name}=", block), f"{name}.{f.name}"
+
+    def test_help_lists_every_stage_with_its_files(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        block = capsys.readouterr().out.split("\nstages:\n")[1]
+        expected = {
+            "synth": "graph.jsonl",
+            "walk": "corpus.txt",
+            "embed": "embeddings.txt",
+            "train": "model.ckpt",
+            "propagate": "propagation.jsonl",
+            "evaluate": "metrics.json, metrics.txt",
+        }
+        for stage, files in expected.items():
+            assert re.search(rf"^  {stage} +\S.* -> {files}$", block, re.M), stage
+        assert re.search(r"^  all +every applicable stage", block, re.M)
 
     def test_missing_input_reports_error(self, config_file, tmp_path, capsys):
         path, out = config_file
