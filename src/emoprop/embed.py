@@ -11,7 +11,9 @@ pair is
 maximized by SGD whose learning rate decays linearly to zero over the total
 planned number of pairs.  Each training step runs `sgns_loss_and_grads` on
 one center and its whole window, the kernel the gradient checks test.
-Training is sequential and deterministic per seed.  An optional
+Training is sequential and deterministic per seed.  Each walk draws the
+negatives of all its centers in one call on the seeded stream, which
+yields the same values, in the same order, as one call per center.  An optional
 character-n-gram subword table composes vectors for tokens outside the
 vocabulary.
 """
@@ -174,14 +176,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
-
-
 def sgns_loss_and_grads(
     center: np.ndarray, rows: np.ndarray, n_pos: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -192,10 +186,27 @@ def sgns_loss_and_grads(
     negative sampling loss -sum_p log s(u_p.v) - sum_j log s(-u_j.v).
     """
     dots = rows @ center
-    loss = -float(np.sum(_log_sigmoid(dots[:n_pos])) + np.sum(_log_sigmoid(-dots[n_pos:])))
-    coef = _sigmoid(dots)
+    # -log s(x) = logaddexp(0, -x): negate the positives, one sum for all
+    z = dots.copy()
+    z[:n_pos] *= -1.0
+    loss = float(np.logaddexp(0.0, z, out=z).sum())
+    # s(x) = 1 / (1 + exp(-x)) with x clipped to [-60, 60], in one buffer
+    coef = np.maximum(dots, -60.0)
+    np.minimum(coef, 60.0, out=coef)
+    np.negative(coef, out=coef)
+    np.exp(coef, out=coef)
+    coef += 1.0
+    np.divide(1.0, coef, out=coef)
     coef[:n_pos] -= 1.0
     return loss, coef @ rows, coef[:, None] * center
+
+
+def window_pairs(n: int, window: int) -> int:
+    """(center, context) pairs in a sequence of ``n`` tokens: twice the sum
+    over positions i of min(i, window)."""
+    if n - 1 <= window:
+        return n * (n - 1)
+    return window * (window + 1) + 2 * (n - 1 - window) * window
 
 
 def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
@@ -247,44 +258,49 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
             indexed.append(np.array(idx, dtype=np.int64))
 
     window = cfg.window
-    pairs_per_epoch = 0
-    for seq in indexed:
-        n = len(seq)
-        for i in range(n):
-            pairs_per_epoch += min(i, window) + min(n - 1 - i, window)
+    k = cfg.negatives
+    walk_pairs = [window_pairs(len(seq), window) for seq in indexed]
+    pairs_per_epoch = sum(walk_pairs)
     total_pairs = pairs_per_epoch * cfg.epochs
     if total_pairs == 0:
         raise EmbeddingError("corpus has no context pairs to train on")
 
     cdf = _noise_cdf(vocab.counts, cfg.noise_exponent)
     lr0 = cfg.learning_rate
-    k = cfg.negatives
     seen = 0
     history = []
+    # np.add.at takes its fast indexed loop only on a 1-D target; each
+    # element still receives its window's additions in window order
+    out_flat = output_vectors.reshape(-1)
+    cols = np.arange(dim)
 
     for _epoch in range(cfg.epochs):
         epoch_loss = 0.0
-        for seq in indexed:
+        for seq, n_pairs in zip(indexed, walk_pairs):
+            # one draw per walk: the same doubles, in the same stream
+            # order, as one draw per center
+            negs = np.searchsorted(cdf, rng.random(n_pairs * k))
             n = len(seq)
+            o = 0
             for i in range(n):
-                ctx = np.concatenate((seq[max(0, i - window) : i], seq[i + 1 : i + 1 + window]))
-                n_ctx = len(ctx)
-                if n_ctx == 0:
-                    continue
+                n_ctx = min(i, window) + min(n - 1 - i, window)
+                idx = np.concatenate(
+                    (seq[max(0, i - window) : i], seq[i + 1 : i + 1 + window], negs[o : o + n_ctx * k])
+                )
+                o += n_ctx * k
                 lr = lr0 * (1.0 - seen / total_pairs)
                 center_idx = seq[i]
                 if token_rows is not None:
                     in_rows = token_rows[center_idx]
-                    v = input_vectors[in_rows].mean(axis=0)
+                    # np.mean's arithmetic (sum, then divide) without its overhead
+                    v = input_vectors[in_rows].sum(axis=0) / len(in_rows)
                 else:
                     in_rows = None
                     v = input_vectors[center_idx]
 
-                neg = np.searchsorted(cdf, rng.random(n_ctx * k))
-                idx = np.concatenate((ctx, neg))
                 loss, d_center, d_rows = sgns_loss_and_grads(v, output_vectors[idx], n_ctx)
                 epoch_loss += loss
-                np.add.at(output_vectors, idx, -lr * d_rows)
+                np.add.at(out_flat, (idx[:, None] * dim + cols).ravel(), (-lr * d_rows).ravel())
                 if in_rows is not None:
                     input_vectors[in_rows] -= (lr / len(in_rows)) * d_center
                 else:

@@ -1,5 +1,7 @@
 """Skip-gram embedding trainer: vocabulary, gradients, subwords, IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from emoprop.embed import (
     sgns_loss_and_grads,
     token_ngrams,
     train_embeddings,
+    window_pairs,
 )
 from emoprop.synth import SynthConfig, generate
 
@@ -115,6 +118,135 @@ class TestSgnsGradients:
                     a = grad[idx]
                     assert abs(a - fd) <= 1e-4 * (abs(a) + abs(fd)) + 1e-10
 
+    def test_loss_is_the_two_sided_log_sigmoid_sum(self):
+        """One logaddexp over the window equals -(sum log s(d_pos) +
+        sum log s(-d_neg)), also where the dot products pass +-60."""
+        rng = np.random.default_rng(11)
+        largest = 0.0
+        for trial in range(40):
+            n_pos = 1 + trial % 6
+            scale = 0.3 if trial < 20 else 40.0
+            center = rng.normal(scale=scale, size=10)
+            rows = rng.normal(scale=scale, size=(6 * n_pos, 10))
+            dots = rows @ center
+            largest = max(largest, np.abs(dots).max())
+            log_sig_pos = -np.logaddexp(0.0, -dots[:n_pos])
+            log_sig_neg = -np.logaddexp(0.0, dots[n_pos:])
+            expected = -(np.sum(log_sig_pos) + np.sum(log_sig_neg))
+            loss = sgns_loss_and_grads(center, rows, n_pos)[0]
+            assert loss == pytest.approx(expected, rel=1e-12)
+        assert largest > 60.0
+
+
+class TestWindowPairs:
+    def test_matches_position_by_position_count(self):
+        for window in range(1, 13):
+            for n in range(2, 26):
+                brute = sum(min(i, window) + min(n - 1 - i, window) for i in range(n))
+                assert window_pairs(n, window) == brute, (n, window)
+
+
+def _reference_train(sequences, cfg):
+    """Per-center SGNS as first written: a 2-D ``np.add.at`` scatter, one
+    ``rng.random`` call per center and the loss as two sums.  Training
+    must reproduce its vectors bit for bit."""
+
+    def _sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+    def _log_sigmoid(x):
+        return -np.logaddexp(0.0, -x)
+
+    def kernel(center, rows, n_pos):
+        dots = rows @ center
+        loss = -float(np.sum(_log_sigmoid(dots[:n_pos])) + np.sum(_log_sigmoid(-dots[n_pos:])))
+        coef = _sigmoid(dots)
+        coef[:n_pos] -= 1.0
+        return loss, coef @ rows, coef[:, None] * center
+
+    vocab = build_vocab(sequences, cfg.min_count)
+    rng = np.random.default_rng(cfg.seed)
+    n_tokens = len(vocab)
+    dim = cfg.dim
+
+    input_vectors = (rng.random((n_tokens, dim)) - 0.5) / dim
+    output_vectors = np.zeros((n_tokens, dim))
+
+    ngram_to_index = {}
+    token_rows = None
+    if cfg.subword is not None:
+        minn, maxn = cfg.subword
+        per_token_grams = [token_ngrams(tok, minn, maxn) for tok in vocab.tokens]
+        for grams in per_token_grams:
+            for gram in grams:
+                if gram not in ngram_to_index:
+                    ngram_to_index[gram] = len(ngram_to_index)
+        ngram_vectors = (rng.random((len(ngram_to_index), dim)) - 0.5) / dim
+        token_rows = [
+            np.array(
+                [i] + [n_tokens + ngram_to_index[gram] for gram in per_token_grams[i]],
+                dtype=np.int64,
+            )
+            for i in range(n_tokens)
+        ]
+        input_vectors = np.vstack([input_vectors, ngram_vectors])
+
+    indexed = []
+    for seq in sequences:
+        idx = [vocab.token_to_index[t] for t in seq if t in vocab.token_to_index]
+        if len(idx) >= 2:
+            indexed.append(np.array(idx, dtype=np.int64))
+
+    window = cfg.window
+    pairs_per_epoch = 0
+    for seq in indexed:
+        n = len(seq)
+        for i in range(n):
+            pairs_per_epoch += min(i, window) + min(n - 1 - i, window)
+    total_pairs = pairs_per_epoch * cfg.epochs
+
+    cdf = emoprop.embed._noise_cdf(vocab.counts, cfg.noise_exponent)
+    lr0 = cfg.learning_rate
+    k = cfg.negatives
+    seen = 0
+    history = []
+
+    for _epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        for seq in indexed:
+            n = len(seq)
+            for i in range(n):
+                ctx = np.concatenate((seq[max(0, i - window) : i], seq[i + 1 : i + 1 + window]))
+                n_ctx = len(ctx)
+                if n_ctx == 0:
+                    continue
+                lr = lr0 * (1.0 - seen / total_pairs)
+                center_idx = seq[i]
+                if token_rows is not None:
+                    in_rows = token_rows[center_idx]
+                    v = input_vectors[in_rows].mean(axis=0)
+                else:
+                    in_rows = None
+                    v = input_vectors[center_idx]
+
+                neg = np.searchsorted(cdf, rng.random(n_ctx * k))
+                idx = np.concatenate((ctx, neg))
+                loss, d_center, d_rows = kernel(v, output_vectors[idx], n_ctx)
+                epoch_loss += loss
+                np.add.at(output_vectors, idx, -lr * d_rows)
+                if in_rows is not None:
+                    input_vectors[in_rows] -= (lr / len(in_rows)) * d_center
+                else:
+                    input_vectors[center_idx] -= lr * d_center
+                seen += n_ctx
+        history.append(epoch_loss / pairs_per_epoch / (1 + k))
+
+    ngram_vectors = None
+    if cfg.subword is not None:
+        ngram_vectors = input_vectors[n_tokens:]
+        input_vectors = input_vectors[:n_tokens]
+    return input_vectors, output_vectors, ngram_vectors, history
+
 
 def _tiny_corpus():
     return [["X", "Y"]] * 50 + [["Z", "W"]] * 50
@@ -154,6 +286,46 @@ class TestTraining:
         assert np.array_equal(wrapped.input_vectors, plain.input_vectors)
         assert np.array_equal(wrapped.output_vectors, plain.output_vectors)
         assert wrapped.loss_history == plain.loss_history
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            EmbedConfig(dim=12, window=8, epochs=2, min_count=2, negatives=4, seed=9),
+            EmbedConfig(dim=10, window=3, epochs=1, subword=(2, 4), seed=2),
+        ],
+        ids=["plain", "subword"],
+    )
+    def test_matches_reference_loop(self, cfg):
+        g, _ = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl", "en"), seed=8))
+        # walks of 3 to 11 tokens, some shorter than the window; rare tokens
+        # fall below min_count, one walk shrinks to a single known token
+        seqs = generate_corpus(g, 120, 6, seed=4).sequences
+        seqs = seqs + [["rare1", seqs[0][0], "rare2"], [seqs[1][0], "rare3", seqs[2][0]]]
+        table = train_embeddings(seqs, cfg)
+        inputs, outputs, ngrams, history = _reference_train(seqs, cfg)
+        assert np.array_equal(table.input_vectors, inputs)
+        assert np.array_equal(table.output_vectors, outputs)
+        if cfg.subword is None:
+            assert table.ngram_vectors is None and ngrams is None
+        else:
+            assert np.array_equal(table.ngram_vectors, ngrams)
+        assert table.loss_history == pytest.approx(history, rel=1e-12)
+
+    def test_peak_memory(self):
+        """Training holds no array per center: on 3000 walks of 4 tokens
+        the traced peak measured 0.51 MB before per-walk negative draws and
+        0.53 MB after; keeping one context array per center for an epoch
+        measured 2.27 MB."""
+        rng = np.random.default_rng(0)
+        seqs = [[f"t{j}" for j in rng.integers(0, 200, size=4)] for _ in range(3000)]
+        cfg = EmbedConfig(dim=8, window=5, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            train_embeddings(seqs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75e6
 
     def test_cooccurring_tokens_align(self):
         cfg = EmbedConfig(dim=16, window=2, epochs=10, seed=4)
