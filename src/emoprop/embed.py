@@ -301,10 +301,12 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
                 loss, d_center, d_rows = sgns_loss_and_grads(v, output_vectors[idx], n_ctx)
                 epoch_loss += loss
                 np.add.at(out_flat, (idx[:, None] * dim + cols).ravel(), (-lr * d_rows).ravel())
-                if in_rows is not None:
-                    input_vectors[in_rows] -= (lr / len(in_rows)) * d_center
-                else:
+                if in_rows is None:
                     input_vectors[center_idx] -= lr * d_center
+                else:
+                    # a token listing an n-gram twice ("banana": "ana") counts
+                    # that row twice in its mean and updates it once per listing
+                    np.subtract.at(input_vectors, in_rows, (lr / len(in_rows)) * d_center)
                 seen += n_ctx
         mean_loss = epoch_loss / pairs_per_epoch / (1 + k)
         if not np.isfinite(mean_loss):

@@ -17,6 +17,15 @@ so the finite-difference gradient oracles run in float64.  Inputs and
 training targets are checked in float64 (finite, within float32's range
 for training, within the parameters' range for a forward pass) before
 any cast.
+
+Memory layout: a model's parameters live in one flat buffer, laid out
+w0, b0, w1, b1, ... as in a checkpoint, and each weight and bias is a
+reshaped view into it.  `train_mlp` keeps gradients, both Adam moments and
+the best-epoch copy in four more buffers of the same layout, backprop
+writes the gradients in place, and Adam walks all five in blocks of
+`BLOCK_SIZE` elements with one block-sized scratch.  Every element sees
+the same float32 operations in the same order as a per-array update, so
+the bits do not depend on the layout or the block size.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 TRAIN_DTYPE = np.float32
+# elements per block of the flat buffers: a block of parameters, gradients,
+# both moments and the scratch (640 KB in float32) stays in cache
+BLOCK_SIZE = 1 << 15
 
 CHECKPOINT_MAGIC = b"EMLPCKPT"
 CHECKPOINT_VERSION = 1
@@ -98,6 +110,9 @@ class MLPConfig:
         n_hidden = len(self.resolved_hidden())
         return {i for i in range(min(2, n_hidden)) if self.dropout > 0.0}
 
+    def num_parameters(self) -> int:
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_dims())
+
 
 @dataclass
 class MLPModel:
@@ -118,21 +133,50 @@ class TrainReport:
     val_history: list[float] = field(default_factory=list)
 
 
-def init_model(cfg: MLPConfig) -> MLPModel:
-    """He-uniform init for ReLU layers, Glorot-uniform for the linear
-    output, zero biases."""
-    rng = np.random.default_rng(cfg.seed)
-    dims = cfg.layer_dims()
+def _param_views(cfg: MLPConfig, flat: np.ndarray) -> tuple[list, list]:
+    """Weight and bias views into `flat`, laid out w0, b0, w1, b1, ..."""
     weights = []
     biases = []
-    for li, (fan_in, fan_out) in enumerate(dims):
+    offset = 0
+    for fan_in, fan_out in cfg.layer_dims():
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def _init_into(cfg: MLPConfig, flat: np.ndarray) -> MLPModel:
+    """`init_model` writing into the zeroed flat buffer `flat`.
+
+    Each block of a weight takes its doubles from the stream into a
+    float64 scratch and is then rounded into `flat`'s dtype: the values
+    `rng.uniform(-bound, bound, size)` would give, cast as `astype` would.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    dims = cfg.layer_dims()
+    weights, biases = _param_views(cfg, flat)
+    scratch = np.empty(min(BLOCK_SIZE, flat.size), dtype=np.float64)
+    for li, ((fan_in, fan_out), w) in enumerate(zip(dims, weights)):
         if li < len(dims) - 1:
             bound = np.sqrt(6.0 / fan_in)
         else:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        flat_w = w.reshape(-1)
+        for start in range(0, flat_w.size, BLOCK_SIZE):
+            buf = scratch[: min(BLOCK_SIZE, flat_w.size - start)]
+            # uniform(low, high) is low + (high - low) * random()
+            rng.random(out=buf)
+            buf *= 2.0 * bound
+            buf += -bound
+            flat_w[start : start + buf.size] = buf
     return MLPModel(config=cfg, weights=weights, biases=biases)
+
+
+def init_model(cfg: MLPConfig) -> MLPModel:
+    """He-uniform init for ReLU layers, Glorot-uniform for the linear
+    output, zero biases, as float64 parameters in one flat buffer."""
+    return _init_into(cfg, np.zeros(cfg.num_parameters()))
 
 
 def _check_rows(name: str, arr: np.ndarray, dtype) -> None:
@@ -245,17 +289,20 @@ def fvu_loss_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.n
     return loss, grad
 
 
-def _backward(model: MLPModel, cache: dict, d_out: np.ndarray) -> tuple[list, list]:
+def _backward(
+    model: MLPModel, cache: dict, d_out: np.ndarray, out: tuple[list, list] | None = None
+) -> tuple[list, list]:
+    """Gradients of every weight and bias; with `out`, a pair of weight and
+    bias gradient lists, each gradient is written into its array there."""
     activations = cache["activations"]
     pre_acts = cache["pre_acts"]
     masks = cache["masks"]
     n_layers = len(model.weights)
-    d_weights = [None] * n_layers
-    d_biases = [None] * n_layers
+    d_weights, d_biases = out if out is not None else ([None] * n_layers, [None] * n_layers)
     delta = d_out
     for li in range(n_layers - 1, -1, -1):
-        d_weights[li] = activations[li].T @ delta
-        d_biases[li] = delta.sum(axis=0)
+        d_weights[li] = np.matmul(activations[li].T, delta, out=d_weights[li])
+        d_biases[li] = delta.sum(axis=0, out=d_biases[li])
         if li > 0:
             da = delta @ model.weights[li].T
             if masks is not None and masks[li - 1] is not None:
@@ -269,12 +316,15 @@ def loss_and_grads(
     x: np.ndarray,
     y: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
+    out: tuple[list, list] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """FVU loss plus gradients for every weight matrix and bias vector; the
-    loss is float64, the gradients take the output's dtype."""
-    out, cache = _forward_cached(model, x, masks)
-    loss, d_out = fvu_loss_and_grad(out, y)
-    d_w, d_b = _backward(model, cache, d_out.astype(out.dtype, copy=False))
+    loss is float64, the gradients take the output's dtype.  With `out`, a
+    pair of weight and bias gradient lists, the gradients are written into
+    those arrays and returned."""
+    pred, cache = _forward_cached(model, x, masks)
+    loss, d_out = fvu_loss_and_grad(pred, y)
+    d_w, d_b = _backward(model, cache, d_out.astype(pred.dtype, copy=False), out)
     return loss, d_w, d_b
 
 
@@ -299,8 +349,11 @@ def train_mlp(
     Validation loss is evaluated once per epoch in eval mode; training
     stops after `patience` consecutive epochs without improvement or at
     max_epochs, and the returned parameters are those of the best epoch.
-    Moments, scratch and best-epoch buffers are allocated once per call;
-    every Adam step updates them in place.
+    Parameters, gradients, both Adam moments and the best-epoch copy are
+    five flat buffers allocated once per call (see the module docstring);
+    each step writes the gradients in place and runs Adam block by block,
+    with the same operations per element, and so the same bits, as an
+    update of each weight and bias on its own.
     """
     x_train, y_train = np.asarray(train[0], float), np.asarray(train[1], float)
     x_val, y_val = np.asarray(val[0], float), np.asarray(val[1], float)
@@ -319,16 +372,18 @@ def train_mlp(
         _check_rows(name, arr, TRAIN_DTYPE)
     x_train, x_val = x_train.astype(TRAIN_DTYPE), x_val.astype(TRAIN_DTYPE)
 
-    model = init_model(cfg)
-    model.weights = [w.astype(TRAIN_DTYPE) for w in model.weights]
-    model.biases = [b.astype(TRAIN_DTYPE) for b in model.biases]
+    size = cfg.num_parameters()
+    params, moment1, moment2 = (np.zeros(size, dtype=TRAIN_DTYPE) for _ in range(3))
+    grads, best = np.empty(size, dtype=TRAIN_DTYPE), np.empty(size, dtype=TRAIN_DTYPE)
+    model = _init_into(cfg, params)
+    grad_views = _param_views(cfg, grads)
     rng = np.random.default_rng(cfg.seed + 1)
 
-    params = [*model.weights, *model.biases]
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-    best = [np.empty_like(p) for p in params]
-    flat_scratch = np.empty(max(p.size for p in params), dtype=TRAIN_DTYPE)
-    scratch = [flat_scratch[: p.size].reshape(p.shape) for p in params]
+    scratch = np.empty(min(BLOCK_SIZE, size), dtype=TRAIN_DTYPE)
+    blocks = []
+    for start in range(0, size, BLOCK_SIZE):
+        views = [buf[start : start + BLOCK_SIZE] for buf in (params, grads, moment1, moment2)]
+        blocks.append((*views, scratch[: views[0].size]))
     step = 0
 
     best_val = np.inf
@@ -345,14 +400,14 @@ def train_mlp(
         for block in _batch_slices(n, cfg.batch_size):
             idx = order[block]
             masks = make_dropout_masks(cfg, len(idx), rng)
-            loss, d_w, d_b = loss_and_grads(model, x_train[idx], y_train[idx], masks)
+            loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], masks, out=grad_views)
             if not np.isfinite(loss):
                 raise MLPError(f"non-finite training loss at epoch {epoch}")
             step += 1
             correction1 = 1.0 - ADAM_BETA1**step
             correction2 = 1.0 - ADAM_BETA2**step
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), through the scratch view s
-            for p, g, (m, v), s in zip(params, [*d_w, *d_b], moments, scratch):
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), through the scratch block s
+            for p, g, m, v, s in blocks:
                 m *= ADAM_BETA1
                 np.multiply(g, 1.0 - ADAM_BETA1, out=s)
                 m += s
@@ -379,16 +434,14 @@ def train_mlp(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            for b, p in zip(best, params):
-                np.copyto(b, p)
+            np.copyto(best, params)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
 
-    n_layers = len(model.weights)
-    model.weights, model.biases = best[:n_layers], best[n_layers:]
+    model.weights, model.biases = _param_views(cfg, best)
     report = TrainReport(
         epochs_run=len(val_history),
         best_epoch=best_epoch,
@@ -439,18 +492,10 @@ def load_model(path) -> MLPModel:
         if shapes != dims:
             raise MLPError(f"checkpoint shapes {shapes} do not chain per config {dims}")
         block = fh.read()
-    expected = 4 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in dims)
+    expected = 4 * cfg.num_parameters()
     if len(block) != expected:
         raise MLPError(
             f"checkpoint {path} holds {len(block)} parameter bytes, expected {expected}"
         )
     flat = np.frombuffer(block, dtype="<f4").astype(np.float32)
-    weights = []
-    biases = []
-    offset = 0
-    for fan_in, fan_out in dims:
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-        biases.append(flat[offset : offset + fan_out])
-        offset += fan_out
-    return MLPModel(config=cfg, weights=weights, biases=biases)
+    return MLPModel(cfg, *_param_views(cfg, flat))

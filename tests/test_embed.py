@@ -148,8 +148,9 @@ class TestWindowPairs:
 
 def _reference_train(sequences, cfg):
     """Per-center SGNS as first written: a 2-D ``np.add.at`` scatter, one
-    ``rng.random`` call per center and the loss as two sums.  Training
-    must reproduce its vectors bit for bit."""
+    ``rng.random`` call per center, the loss as two sums and the subword
+    update applied row by row.  Training must reproduce its vectors bit
+    for bit."""
 
     def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
@@ -235,7 +236,10 @@ def _reference_train(sequences, cfg):
                 epoch_loss += loss
                 np.add.at(output_vectors, idx, -lr * d_rows)
                 if in_rows is not None:
-                    input_vectors[in_rows] -= (lr / len(in_rows)) * d_center
+                    # one update per listed row: an n-gram listed twice
+                    # counts twice in the mean and takes both shares
+                    for row in in_rows:
+                        input_vectors[row] -= (lr / len(in_rows)) * d_center
                 else:
                     input_vectors[center_idx] -= lr * d_center
                 seen += n_ctx
@@ -309,6 +313,23 @@ class TestTraining:
             assert table.ngram_vectors is None and ngrams is None
         else:
             assert np.array_equal(table.ngram_vectors, ngrams)
+        assert table.loss_history == pytest.approx(history, rel=1e-12)
+
+    def test_repeated_ngrams_update_once_per_occurrence(self):
+        """A token whose n-gram list repeats a row ("banana" lists "ana"
+        twice at 3-grams) counts it twice in its mean, so the row takes
+        the update twice, as the row-by-row reference applies it."""
+        grams = token_ngrams("banana", 3, 3)
+        assert grams.count("ana") == 2
+        rng = np.random.default_rng(3)
+        words = ["banana", "ananas", "papaya", "kiwi", "mango"]
+        seqs = [[words[j] for j in rng.integers(0, len(words), size=6)] for _ in range(40)]
+        cfg = EmbedConfig(dim=8, window=2, epochs=2, subword=(3, 3), seed=5)
+        table = train_embeddings(seqs, cfg)
+        inputs, outputs, ngrams, history = _reference_train(seqs, cfg)
+        assert np.array_equal(table.input_vectors, inputs)
+        assert np.array_equal(table.output_vectors, outputs)
+        assert np.array_equal(table.ngram_vectors, ngrams)
         assert table.loss_history == pytest.approx(history, rel=1e-12)
 
     def test_peak_memory(self):
