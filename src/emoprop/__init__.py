@@ -7,64 +7,4 @@ annotated seed to the rest of the graph with a multilabel regressor,
 evaluated under 10-fold cross-validation.
 """
 
-from .corpus import WalkCorpus, generate_corpus, random_walk
-from .embed import EmbedConfig, EmbeddingTable, train_embeddings
-from .evaluate import (
-    compare_runs,
-    make_folds,
-    paired_t_test,
-    pooled_r_r2,
-    prf_scores,
-    run_cv,
-    shapiro_wilk,
-)
-from .graph import (
-    DIMENSIONS,
-    NUM_DIMENSIONS,
-    GraphError,
-    NodeId,
-    WordNetGraph,
-    parse_wordnet_file,
-    validate_graph,
-    write_wordnet_file,
-)
-from .mlp import MLPConfig, MLPModel, train_mlp
-from .pipeline import PipelineConfig, parse_config, run
-from .propagate import build_plan, propagate
-from .synth import SynthConfig, generate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DIMENSIONS",
-    "NUM_DIMENSIONS",
-    "EmbedConfig",
-    "EmbeddingTable",
-    "GraphError",
-    "MLPConfig",
-    "MLPModel",
-    "NodeId",
-    "PipelineConfig",
-    "SynthConfig",
-    "WalkCorpus",
-    "WordNetGraph",
-    "build_plan",
-    "compare_runs",
-    "generate",
-    "generate_corpus",
-    "make_folds",
-    "paired_t_test",
-    "parse_config",
-    "parse_wordnet_file",
-    "pooled_r_r2",
-    "prf_scores",
-    "propagate",
-    "random_walk",
-    "run",
-    "run_cv",
-    "shapiro_wilk",
-    "train_embeddings",
-    "train_mlp",
-    "validate_graph",
-    "write_wordnet_file",
-]

@@ -50,16 +50,13 @@ class CorpusConfig:
             raise ValueError("length must be >= 1")
         if self.start_kind not in START_KINDS:
             raise ValueError(f"start_kind must be one of {START_KINDS}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
 class WalkCorpus:
     sequences: list[list[str]]
-    num_walks: int
-    length: int
-    seed: int
-    cross_lingual: bool = True
-    start_kind: str = "all"
 
 
 def _walk_rng(seed: int, index: int) -> np.random.Generator:
@@ -106,42 +103,27 @@ def random_walk(
     return tokens
 
 
-def generate_corpus(
-    g: WordNetGraph,
-    num_walks: int,
-    length: int,
-    seed: int,
-    cross_lingual: bool = True,
-    start_kind: str = "all",
-) -> WalkCorpus:
-    """Run ``num_walks`` seeded walks, start nodes drawn uniformly.
+def generate_corpus(g: WordNetGraph, cfg: CorpusConfig) -> WalkCorpus:
+    """Run ``cfg.num_walks`` seeded walks, start nodes drawn uniformly.
 
-    start_kind restricts the start-node pool ("all", "synset" or "lu");
+    cfg.start_kind restricts the start-node pool ("all", "synset" or "lu");
     traversal itself is unrestricted by kind either way.
     """
-    CorpusConfig(num_walks, length, cross_lingual, start_kind, seed)  # range checks
     if not g.nodes:
         raise GraphError("cannot generate walks on an empty graph")
-    if start_kind == "all":
+    if cfg.start_kind == "all":
         candidates = sorted(g.nodes)
     else:
-        candidates = sorted(n for n in g.nodes if n.kind == start_kind)
+        candidates = sorted(n for n in g.nodes if n.kind == cfg.start_kind)
     if not candidates:
-        raise GraphError(f"graph has no {start_kind} nodes to start from")
+        raise GraphError(f"graph has no {cfg.start_kind} nodes to start from")
 
     sequences = []
-    for i in range(num_walks):
-        rng = _walk_rng(seed, i)
+    for i in range(cfg.num_walks):
+        rng = _walk_rng(cfg.seed, i)
         start = candidates[rng.integers(len(candidates))]
-        sequences.append(random_walk(g, start, length, rng, cross_lingual=cross_lingual))
-    return WalkCorpus(
-        sequences=sequences,
-        num_walks=num_walks,
-        length=length,
-        seed=seed,
-        cross_lingual=cross_lingual,
-        start_kind=start_kind,
-    )
+        sequences.append(random_walk(g, start, cfg.length, rng, cross_lingual=cfg.cross_lingual))
+    return WalkCorpus(sequences)
 
 
 def save_corpus(corpus: WalkCorpus, path: str | Path) -> None:

@@ -72,7 +72,6 @@ class Vocabulary:
     token_to_index: dict[str, int]
     tokens: list[str]
     counts: np.ndarray
-    min_count: int
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -97,7 +96,6 @@ def build_vocab(sequences: list[list[str]], min_count: int = 1) -> Vocabulary:
         token_to_index={tok: i for i, tok in enumerate(tokens)},
         tokens=tokens,
         counts=np.array([c for _, c in kept], dtype=np.int64),
-        min_count=min_count,
     )
 
 
@@ -376,6 +374,5 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         token_to_index=token_to_index,
         tokens=list(token_to_index),
         counts=np.ones(size, dtype=np.int64),
-        min_count=1,
     )
     return EmbeddingTable(vocab=vocab, input_vectors=vectors, output_vectors=np.zeros_like(vectors))

@@ -186,9 +186,6 @@ class WordNetGraph:
             raise GraphError(f"unknown node {node}")
         return list(self.adjacency[node])
 
-    def languages(self) -> list[str]:
-        return sorted({n.lang for n in self.nodes})
-
     def lexical_units(self) -> list[NodeId]:
         return sorted(n for n in self.nodes if n.kind == LEXICAL_UNIT)
 

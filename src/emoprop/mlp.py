@@ -61,7 +61,6 @@ class MLPError(ValueError):
 class MLPConfig:
     variant: str = "base"
     input_dim: int = 300
-    output_dim: int = NUM_DIMENSIONS
     hidden_dims: tuple[int, ...] | None = None
     dropout: float = 0.2
     patience: int = 30
@@ -73,8 +72,6 @@ class MLPConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANT_HIDDEN:
             raise MLPError(f"unknown variant {self.variant!r}")
-        if self.output_dim != NUM_DIMENSIONS:
-            raise MLPError(f"output_dim must be {NUM_DIMENSIONS}")
         if self.input_dim < 1:
             raise MLPError("input_dim must be >= 1")
         if self.hidden_dims is not None:
@@ -102,7 +99,7 @@ class MLPConfig:
         return VARIANT_HIDDEN[self.variant]
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        sizes = [self.input_dim, *self.resolved_hidden(), self.output_dim]
+        sizes = [self.input_dim, *self.resolved_hidden(), NUM_DIMENSIONS]
         return list(zip(sizes[:-1], sizes[1:]))
 
     def dropout_layers(self) -> set[int]:
@@ -119,9 +116,6 @@ class MLPModel:
     config: MLPConfig
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    def num_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 @dataclass
@@ -254,11 +248,9 @@ def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def binarize(y: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Label j is active iff y_j >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise MLPError("threshold must be in (0, 1)")
-    return np.asarray(y) >= threshold
+def binarize(y: np.ndarray) -> np.ndarray:
+    """Label j is active iff y_j >= 0.5."""
+    return np.asarray(y) >= 0.5
 
 
 def fvu_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -361,7 +353,7 @@ def train_mlp(
         raise MLPError("train and validation sets must be non-empty")
     if x_train.shape[1] != cfg.input_dim or x_val.shape[1] != cfg.input_dim:
         raise MLPError("input dimension mismatch with config")
-    if y_train.shape[1] != cfg.output_dim or y_val.shape[1] != cfg.output_dim:
+    if y_train.shape[1] != NUM_DIMENSIONS or y_val.shape[1] != NUM_DIMENSIONS:
         raise MLPError("target dimension mismatch with config")
     for name, arr in (
         ("train features", x_train),
@@ -471,24 +463,48 @@ def save_model(model: MLPModel, path) -> None:
             fh.write(b.astype("<f4").tobytes())
 
 
+def _read_uint(fh, fmt: str, path) -> int:
+    """The next header integer of struct format `fmt` in the checkpoint `fh`."""
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) < struct.calcsize(fmt):
+        raise MLPError(f"checkpoint {path} ends inside its header")
+    return struct.unpack(fmt, raw)[0]
+
+
 def load_model(path) -> MLPModel:
+    """Read a `save_model` checkpoint; a malformed file raises MLPError naming it."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise MLPError(f"not a model checkpoint: {path}")
-        (version,) = struct.unpack("<B", fh.read(1))
+        version = _read_uint(fh, "<B", path)
         if version != CHECKPOINT_VERSION:
-            raise MLPError(f"unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+            raise MLPError(f"checkpoint {path} has unsupported version {version}")
+        blob_len = _read_uint(fh, "<I", path)
+        try:
+            header = json.loads(fh.read(blob_len).decode("utf-8"))
+        except ValueError as exc:
+            raise MLPError(f"checkpoint {path} header is not JSON: {exc}") from exc
+        if not (
+            isinstance(header, dict)
+            and isinstance(header.get("config"), dict)
+            and isinstance(header.get("shapes"), list)
+        ):
+            raise MLPError(
+                f"checkpoint {path} header must be an object with a 'config' object "
+                f"and a 'shapes' list"
+            )
         keys, names = set(header["config"]), {f.name for f in fields(MLPConfig)}
         if keys != names:
             key = min(keys ^ names)
             problem = "lacks the" if key in names else "has an unknown"
             raise MLPError(f"checkpoint {path} config {problem} key {key!r}")
-        cfg = MLPConfig(**header["config"])
+        try:
+            cfg = MLPConfig(**header["config"])
+            shapes = [tuple(shape) for shape in header["shapes"]]
+        except (TypeError, ValueError) as exc:
+            raise MLPError(f"checkpoint {path} header: {exc}") from exc
         dims = cfg.layer_dims()
-        shapes = [tuple(shape) for shape in header["shapes"]]
         if shapes != dims:
             raise MLPError(f"checkpoint shapes {shapes} do not chain per config {dims}")
         block = fh.read()

@@ -82,6 +82,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.folds < 3:
             raise ValueError("folds must be >= 3")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -111,7 +113,7 @@ SECTIONS = {
     "eval": (EvalConfig, "evaluate"),
 }
 # filled from the embeddings, never from the config
-DERIVED_FIELDS = {"input_dim", "output_dim"}
+DERIVED_FIELDS = {"input_dim"}
 
 _NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -263,14 +265,14 @@ def _load_regressor_inputs(
 
 
 def _stage_synth(cfg: PipelineConfig, paths: dict, key: dict) -> str:
-    g, _gold = generate(cfg.synth)
+    g = generate(cfg.synth)
     write_wordnet_file(g, paths["graph"])
     return f"{len(g.nodes)} nodes, {len(g.edges)} edges, {len(g.annotations)} annotated LUs"
 
 
 def _stage_walk(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     c = cfg.corpus
-    corpus = generate_corpus(parse_wordnet_file(paths["graph"]), **asdict(c))
+    corpus = generate_corpus(parse_wordnet_file(paths["graph"]), c)
     save_corpus(corpus, paths["corpus"])
     mode = "cross-lingual" if c.cross_lingual else "monolingual"
     return f"{len(corpus.sequences)} {mode} walks of length {c.length}"
@@ -294,7 +296,7 @@ def _stage_train(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     model, report = train_mlp(mcfg, train, val)
     save_model(model, paths["model"])
     return (
-        f"{mcfg.variant} ({model.num_parameters()} parameters), "
+        f"{mcfg.variant} ({mcfg.num_parameters()} parameters), "
         f"best val loss {report.best_val_loss:.4f} at epoch {report.best_epoch}"
     )
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .corpus import node_token
-from .graph import LEXICAL_UNIT, NUM_DIMENSIONS, NodeId, WordNetGraph
+from .graph import LEXICAL_UNIT, NUM_DIMENSIONS, GraphError, NodeId, WordNetGraph, _node_ref
 from .mlp import MLPConfig, MLPModel, TrainReport, binarize, predict, train_mlp
 
 
@@ -41,8 +41,6 @@ class Prediction(NamedTuple):
 
 @dataclass
 class PropagationPlan:
-    seed: tuple[NodeId, ...]
-    targets: tuple[NodeId, ...]
     waves: list[Wave]
     unreachable: tuple[NodeId, ...]
 
@@ -104,8 +102,6 @@ def build_plan(
             remaining.difference_update(hit)
         frontier = next_frontier
     return PropagationPlan(
-        seed=tuple(sorted(seed_set)),
-        targets=tuple(sorted(target_set)),
         waves=waves,
         unreachable=tuple(sorted(remaining)),
     )
@@ -216,7 +212,33 @@ def save_propagation(result: PropagationResult, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _prediction(record: object) -> tuple[NodeId, Prediction]:
+    """One record of a propagation file, its JSON types checked."""
+    if not isinstance(record, dict):
+        raise PropagationError(f"expected an object, got {record!r}")
+    missing = [key for key in ("lu", "wave", "raw", "labels") if key not in record]
+    if missing:
+        raise PropagationError(f"missing field {missing[0]!r}")
+    try:
+        lu = _node_ref(record["lu"], LEXICAL_UNIT)
+    except GraphError as exc:
+        raise PropagationError(str(exc)) from exc
+    wave, raw, labels = record["wave"], record["raw"], record["labels"]
+    if not isinstance(wave, int) or isinstance(wave, bool):
+        raise PropagationError(f"wave must be an integer, got {wave!r}")
+    for name, values in (("raw", raw), ("labels", labels)):
+        if not isinstance(values, list) or len(values) != NUM_DIMENSIONS:
+            raise PropagationError(f"wrong vector length: {name} must list {NUM_DIMENSIONS} values")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+        raise PropagationError(f"raw values must be numbers, got {raw!r}")
+    if not all(isinstance(b, bool) for b in labels):
+        raise PropagationError(f"labels must be booleans, got {labels!r}")
+    return lu, Prediction(wave, np.asarray(raw, dtype=np.float64), np.asarray(labels))
+
+
 def load_propagation(path) -> dict[NodeId, Prediction]:
+    """Read a `save_propagation` file; a malformed line raises
+    PropagationError with its line number."""
     predictions: dict[NodeId, Prediction] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -224,13 +246,10 @@ def load_propagation(path) -> dict[NodeId, Prediction]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                lu, pred = _prediction(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise PropagationError(f"line {lineno}: invalid JSON: {exc}") from exc
-            lu = NodeId(LEXICAL_UNIT, int(record["lu"][0]), str(record["lu"][1]))
-            raw = np.asarray(record["raw"], dtype=np.float64)
-            labels = np.asarray(record["labels"], dtype=bool)
-            if raw.shape != (NUM_DIMENSIONS,) or labels.shape != (NUM_DIMENSIONS,):
-                raise PropagationError(f"line {lineno}: wrong vector length")
-            predictions[lu] = Prediction(int(record["wave"]), raw, labels)
+            except PropagationError as exc:
+                raise PropagationError(f"line {lineno}: {exc}") from exc
+            predictions[lu] = pred
     return predictions

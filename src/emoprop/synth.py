@@ -83,11 +83,11 @@ def community_prototype(index: int) -> np.ndarray:
     return v
 
 
-def generate(cfg: SynthConfig) -> tuple[WordNetGraph, dict[NodeId, np.ndarray]]:
-    """Build the graph and gold annotations for every lexical unit.
+def generate(cfg: SynthConfig) -> WordNetGraph:
+    """Build the graph, with every lexical unit annotated in ``g.annotations``.
 
-    Deterministic per cfg.seed.  The returned graph already carries all
-    gold annotations; callers mask whichever portion they hold out.
+    Deterministic per cfg.seed.  The annotations are the planted truth;
+    callers mask whichever portion they hold out.
     """
     rng = np.random.default_rng(cfg.seed)
     g = WordNetGraph()
@@ -96,7 +96,6 @@ def generate(cfg: SynthConfig) -> tuple[WordNetGraph, dict[NodeId, np.ndarray]]:
     n_lu = cfg.lus_per_synset
 
     synset_ids: dict[tuple[str, int], list[NodeId]] = {}
-    gold: dict[NodeId, np.ndarray] = {}
 
     for lang in cfg.languages:
         for c in range(n_comm):
@@ -119,7 +118,7 @@ def generate(cfg: SynthConfig) -> tuple[WordNetGraph, dict[NodeId, np.ndarray]]:
                     if cfg.label_noise > 0.0:
                         flips = rng.random(NUM_DIMENSIONS) < cfg.label_noise
                         values = np.abs(values - flips.astype(np.float64))
-                    gold[lu] = values
+                    g.set_annotation(lu, values)
 
     for lang in cfg.languages:
         # intra-community synset edges
@@ -149,6 +148,4 @@ def generate(cfg: SynthConfig) -> tuple[WordNetGraph, dict[NodeId, np.ndarray]]:
             for j in sorted(int(j) for j in chosen):
                 g.add_edge(Edge(synset_ids[(lang_a, c)][j], synset_ids[(lang_b, c)][j], rel))
 
-    for lu, values in gold.items():
-        g.set_annotation(lu, values)
-    return g, gold
+    return g

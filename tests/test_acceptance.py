@@ -9,12 +9,13 @@ criteria account for everything they depend on.
 """
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stats_fixtures
-from emoprop.corpus import generate_corpus, node_token
+from emoprop.corpus import CorpusConfig, generate_corpus, node_token
 from emoprop.embed import EmbedConfig, cosine, sgns_loss_and_grads, train_embeddings
 from emoprop.evaluate import (
     compare_runs,
@@ -49,12 +50,13 @@ def bench():
     cfg = SynthConfig(communities=4, synsets_per_community=10, lus_per_synset=4,
                       languages=("pl", "en"), interlingual_fraction=0.5,
                       label_noise=0.1, seed=11)
-    g, gold = generate(cfg)
+    g = generate(cfg)
     timings["graph"] = time.monotonic() - t
 
     t = time.monotonic()
-    cross = generate_corpus(g, 6000, 20, seed=12, cross_lingual=True)
-    mono = generate_corpus(g, 6000, 20, seed=12, cross_lingual=False)
+    ccfg = CorpusConfig(num_walks=6000, length=20, seed=12, cross_lingual=True)
+    cross = generate_corpus(g, ccfg)
+    mono = generate_corpus(g, replace(ccfg, cross_lingual=False))
     timings["corpora"] = time.monotonic() - t
 
     ecfg = EmbedConfig(dim=50, epochs=8, seed=13)
@@ -65,7 +67,7 @@ def bench():
     mono_table = train_embeddings(mono.sequences, ecfg)
     timings["mono_table"] = time.monotonic() - t
 
-    return {"graph": g, "gold": gold, "cross_table": cross_table,
+    return {"graph": g, "cross_table": cross_table,
             "mono_table": mono_table, "timings": timings}
 
 
@@ -156,14 +158,15 @@ class TestAcceptance:
                 interlingual_fraction=0.5 if n_langs == 2 else 0.0,
                 seed=int(rng.integers(0, 2**31)),
             )
-            g, _ = generate(cfg)
+            g = generate(cfg)
             assert len(g.nodes) <= 500
             for ci in range(40):
                 cross = bool(ci % 2)
                 length = int(rng.integers(1, 9))
-                corpus = generate_corpus(g, 5, length,
-                                         seed=int(rng.integers(0, 2**31)),
-                                         cross_lingual=cross)
+                ccfg = CorpusConfig(num_walks=5, length=length,
+                                    seed=int(rng.integers(0, 2**31)),
+                                    cross_lingual=cross)
+                corpus = generate_corpus(g, ccfg)
                 assert len(corpus.sequences) == 5
                 for seq in corpus.sequences:
                     assert len(seq) <= 2 * length - 1
@@ -282,7 +285,7 @@ class TestAcceptance:
     def test_06_propagation_beats_baseline(self, bench, md_cv):
         """Deep regressor on cross-lingual embeddings clears a per-fold
         majority-class baseline by >= 0.15 macro F1."""
-        gold = bench["gold"]
+        gold = bench["graph"].annotations
         base_macro = []
         for fold in md_cv.folds:
             train_gold = np.stack([gold[lu] for lu in fold.train])

@@ -1,11 +1,13 @@
 """Walk generation: token formats, self-avoidance, determinism."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emoprop.corpus import (
+    CorpusConfig,
     WalkCorpus,
     edge_token,
     generate_corpus,
@@ -145,31 +147,29 @@ class TestGenerateCorpus:
     def test_single_node_graph(self):
         g = WordNetGraph()
         g.add_node(lu(3, "en"))
-        corpus = generate_corpus(g, 5, 10, seed=0)
+        corpus = generate_corpus(g, CorpusConfig(num_walks=5, length=10, seed=0))
         assert corpus.sequences == [["L#en#3"]] * 5
 
     def test_determinism(self):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=4, seed=1))
-        a = generate_corpus(g, 50, 8, seed=42)
-        b = generate_corpus(g, 50, 8, seed=42)
+        g = generate(SynthConfig(communities=2, synsets_per_community=4, seed=1))
+        a = generate_corpus(g, CorpusConfig(num_walks=50, length=8, seed=42))
+        b = generate_corpus(g, CorpusConfig(num_walks=50, length=8, seed=42))
         assert a.sequences == b.sequences
-        c = generate_corpus(g, 50, 8, seed=43)
+        c = generate_corpus(g, CorpusConfig(num_walks=50, length=8, seed=43))
         assert a.sequences != c.sequences
 
-    def test_walk_count_and_params_echoed(self):
+    def test_walk_count(self):
         g = _path_graph()
-        corpus = generate_corpus(g, 7, 4, seed=9, cross_lingual=False, start_kind="synset")
+        cfg = CorpusConfig(num_walks=7, length=4, seed=9, cross_lingual=False, start_kind="synset")
+        corpus = generate_corpus(g, cfg)
         assert len(corpus.sequences) == 7
-        assert (corpus.num_walks, corpus.length, corpus.seed) == (7, 4, 9)
-        assert corpus.cross_lingual is False
-        assert corpus.start_kind == "synset"
 
     def test_start_distribution_uniform(self):
         """Binomial bound: 10^4 walks over 100 nodes start 100 +/- 40 each."""
         g = WordNetGraph()
         for i in range(100):
             g.add_node(synset(i))
-        corpus = generate_corpus(g, 10000, 1, seed=5)
+        corpus = generate_corpus(g, CorpusConfig(num_walks=10000, length=1, seed=5))
         counts = {}
         for seq in corpus.sequences:
             counts[seq[0]] = counts.get(seq[0], 0) + 1
@@ -177,9 +177,9 @@ class TestGenerateCorpus:
         assert all(abs(c - 100) < 40 for c in counts.values())
 
     def test_invariants_on_synth_graph(self):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=5, seed=3))
+        g = generate(SynthConfig(communities=2, synsets_per_community=5, seed=3))
         length = 6
-        corpus = generate_corpus(g, 200, length, seed=11)
+        corpus = generate_corpus(g, CorpusConfig(num_walks=200, length=length, seed=11))
         for seq in corpus.sequences:
             assert len(seq) <= 2 * length - 1
             assert len(seq) % 2 == 1
@@ -190,52 +190,51 @@ class TestGenerateCorpus:
             assert len(set(nodes)) == len(nodes)
 
     def test_monolingual_single_language_per_sequence(self):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=5, seed=3))
-        corpus = generate_corpus(g, 150, 8, seed=11, cross_lingual=False)
+        g = generate(SynthConfig(communities=2, synsets_per_community=5, seed=3))
+        cfg = CorpusConfig(num_walks=150, length=8, seed=11, cross_lingual=False)
+        corpus = generate_corpus(g, cfg)
         for seq in corpus.sequences:
             langs = {tok.split("#")[1] for tok in seq[0::2]}
             assert len(langs) == 1
 
     def test_start_kind_restriction(self):
         g = chain_graph(n_synsets=3, lus_per=2)
-        from_synsets = generate_corpus(g, 40, 3, seed=1, start_kind="synset")
+        cfg = CorpusConfig(num_walks=40, length=3, seed=1, start_kind="synset")
+        from_synsets = generate_corpus(g, cfg)
         assert all(seq[0].startswith("S#") for seq in from_synsets.sequences)
-        from_lus = generate_corpus(g, 40, 3, seed=1, start_kind="lu")
+        from_lus = generate_corpus(g, replace(cfg, start_kind="lu"))
         assert all(seq[0].startswith("L#") for seq in from_lus.sequences)
 
     def test_start_kind_pool_empty(self):
         g = WordNetGraph()
         g.add_node(synset(0))
         with pytest.raises(GraphError, match="no lu nodes"):
-            generate_corpus(g, 5, 3, seed=0, start_kind="lu")
+            generate_corpus(g, CorpusConfig(num_walks=5, length=3, seed=0, start_kind="lu"))
 
     def test_bad_parameters(self):
         g = _path_graph()
         with pytest.raises(ValueError, match="num_walks"):
-            generate_corpus(g, 0, 3, seed=0)
+            generate_corpus(g, CorpusConfig(num_walks=0, length=3))
         with pytest.raises(ValueError, match="length"):
-            generate_corpus(g, 3, 0, seed=0)
+            generate_corpus(g, CorpusConfig(num_walks=3, length=0))
         with pytest.raises(ValueError, match="start_kind"):
-            generate_corpus(g, 3, 3, seed=0, start_kind="edge")
+            generate_corpus(g, CorpusConfig(num_walks=3, length=3, start_kind="edge"))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            generate_corpus(g, CorpusConfig(num_walks=3, length=3, seed=-1))
         with pytest.raises(GraphError, match="empty graph"):
-            generate_corpus(WordNetGraph(), 3, 3, seed=0)
+            generate_corpus(WordNetGraph(), CorpusConfig(num_walks=3, length=3))
 
 
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=4, seed=1))
-        corpus = generate_corpus(g, 30, 5, seed=2)
+        g = generate(SynthConfig(communities=2, synsets_per_community=4, seed=1))
+        corpus = generate_corpus(g, CorpusConfig(num_walks=30, length=5, seed=2))
         path = tmp_path / "corpus.txt"
         save_corpus(corpus, path)
         assert load_corpus_sequences(path) == corpus.sequences
 
     def test_save_format(self, tmp_path):
-        corpus = WalkCorpus(
-            sequences=[["S#pl#0", "rSS#hyponymy", "S#pl#1"], ["L#en#2"]],
-            num_walks=2,
-            length=2,
-            seed=0,
-        )
+        corpus = WalkCorpus(sequences=[["S#pl#0", "rSS#hyponymy", "S#pl#1"], ["L#en#2"]])
         path = tmp_path / "corpus.txt"
         save_corpus(corpus, path)
         assert path.read_text(encoding="utf-8") == (
@@ -243,10 +242,10 @@ class TestCorpusIO:
         )
 
     def test_save_is_deterministic(self, tmp_path):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=4, seed=1))
+        g = generate(SynthConfig(communities=2, synsets_per_community=4, seed=1))
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_corpus(generate_corpus(g, 25, 6, seed=7), p1)
-        save_corpus(generate_corpus(g, 25, 6, seed=7), p2)
+        save_corpus(generate_corpus(g, CorpusConfig(num_walks=25, length=6, seed=7)), p1)
+        save_corpus(generate_corpus(g, CorpusConfig(num_walks=25, length=6, seed=7)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_blank_lines_ignored(self, tmp_path):

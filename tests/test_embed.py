@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import emoprop.embed
-from emoprop.corpus import generate_corpus
+from emoprop.corpus import CorpusConfig, generate_corpus
 from emoprop.embed import (
     EmbedConfig,
     EmbeddingError,
@@ -300,10 +300,10 @@ class TestTraining:
         ids=["plain", "subword"],
     )
     def test_matches_reference_loop(self, cfg):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl", "en"), seed=8))
+        g = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl", "en"), seed=8))
         # walks of 3 to 11 tokens, some shorter than the window; rare tokens
         # fall below min_count, one walk shrinks to a single known token
-        seqs = generate_corpus(g, 120, 6, seed=4).sequences
+        seqs = generate_corpus(g, CorpusConfig(num_walks=120, length=6, seed=4)).sequences
         seqs = seqs + [["rare1", seqs[0][0], "rare2"], [seqs[1][0], "rare3", seqs[2][0]]]
         table = train_embeddings(seqs, cfg)
         inputs, outputs, ngrams, history = _reference_train(seqs, cfg)
@@ -356,8 +356,8 @@ class TestTraining:
         assert near > far
 
     def test_loss_decreases(self):
-        g, _ = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl",), seed=3))
-        corpus = generate_corpus(g, 200, 8, seed=5)
+        g = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl",), seed=3))
+        corpus = generate_corpus(g, CorpusConfig(num_walks=200, length=8, seed=5))
         cfg = EmbedConfig(dim=12, window=3, epochs=6, seed=6)
         table = train_embeddings(corpus.sequences, cfg)
         assert len(table.loss_history) == 6

@@ -328,7 +328,7 @@ class TestAggregateAndFormat:
 
 
 def _cv_fixture():
-    g, _ = generate(
+    g = generate(
         SynthConfig(
             communities=2,
             synsets_per_community=6,

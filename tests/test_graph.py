@@ -174,8 +174,6 @@ class TestNeighbors:
         assert g.synsets() == sorted(g.synsets())
         assert g.lexical_units() == sorted(g.lexical_units())
         assert len(g.lexical_units()) == 6
-        g.add_node(synset(99, "en"))
-        assert g.languages() == ["en", "pl"]
 
 
 def _write(tmp_path, text):

@@ -1,17 +1,21 @@
 """Multilabel regressor: architecture, FVU loss, backprop, training loop."""
 
 import json
+import re
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from emoprop.graph import NUM_DIMENSIONS
 from emoprop.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     BLOCK_SIZE,
+    CHECKPOINT_MAGIC,
     TRAIN_DTYPE,
     MLPConfig,
     MLPError,
@@ -60,7 +64,7 @@ class TestConfig:
         "kwargs",
         [
             {"variant": "wide"},
-            {"output_dim": 25},
+            {"seed": -1},
             {"dropout": 1.0},
             {"dropout": -0.1},
             {"variant": "base", "hidden_dims": (10,)},
@@ -79,18 +83,19 @@ class TestConfig:
 
 class TestInitAndParams:
     def test_deep_parameter_count(self):
-        model = init_model(MLPConfig(variant="deep", input_dim=300))
+        cfg = MLPConfig(variant="deep", input_dim=300)
+        model = init_model(cfg)
         expected = (
             300 * 4096 + 4096
             + 4096 * 1024 + 1024
             + 1024 * 256 + 256
             + 256 * 26 + 26
         )
-        assert model.num_parameters() == expected
+        assert cfg.num_parameters() == expected
+        assert sum(p.size for p in [*model.weights, *model.biases]) == expected
 
     def test_base_parameter_count(self):
-        model = init_model(MLPConfig(variant="base", input_dim=300))
-        assert model.num_parameters() == 300 * 26 + 26
+        assert MLPConfig(variant="base", input_dim=300).num_parameters() == 300 * 26 + 26
 
     def test_deterministic(self):
         cfg = MLPConfig(variant="deep", input_dim=20, hidden_dims=(6, 5), seed=3)
@@ -362,7 +367,7 @@ def _reference_train_mlp(
         raise MLPError("train and validation sets must be non-empty")
     if x_train.shape[1] != cfg.input_dim or x_val.shape[1] != cfg.input_dim:
         raise MLPError("input dimension mismatch with config")
-    if y_train.shape[1] != cfg.output_dim or y_val.shape[1] != cfg.output_dim:
+    if y_train.shape[1] != NUM_DIMENSIONS or y_val.shape[1] != NUM_DIMENSIONS:
         raise MLPError("target dimension mismatch with config")
     for name, arr in (
         ("train features", x_train),
@@ -594,7 +599,7 @@ class TestBinarize:
     def test_boundary_is_active(self):
         y = np.zeros(26)
         y[4] = 0.5
-        out = binarize(y, threshold=0.5)
+        out = binarize(y)
         assert out[4]
         assert out.sum() == 1
 
@@ -605,10 +610,10 @@ class TestBinarize:
         assert out.dtype == bool
         assert np.flatnonzero(out).tolist() == [5]
 
-    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.2, 1.3])
-    def test_threshold_range(self, tau):
-        with pytest.raises(MLPError):
-            binarize(np.zeros(26), threshold=tau)
+
+def _version_and_header(blob: bytes) -> bytes:
+    """What a checkpoint holds after its magic: version 1, then `blob` as the header."""
+    return b"\x01" + len(blob).to_bytes(4, "little") + blob
 
 
 class TestCheckpoint:
@@ -654,7 +659,7 @@ class TestCheckpoint:
         model = self._trained()
         path = tmp_path / "model.ckpt"
         save_model(model, path)
-        expected = 4 * model.num_parameters()
+        expected = 4 * model.config.num_parameters()
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(MLPError, match=f"{expected - 1} parameter bytes, expected {expected}"):
             load_model(path)
@@ -663,7 +668,7 @@ class TestCheckpoint:
         model = self._trained()
         path = tmp_path / "model.ckpt"
         save_model(model, path)
-        expected = 4 * model.num_parameters()
+        expected = 4 * model.config.num_parameters()
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(MLPError, match=f"{expected + 4} parameter bytes, expected {expected}"):
             load_model(path)
@@ -704,6 +709,26 @@ class TestCheckpoint:
         body = tampered.encode("utf-8")
         path.write_bytes(raw[:9] + len(body).to_bytes(4, "little") + body + raw[13 + header_len :])
         with pytest.raises(MLPError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b"",
+            b"\x01",
+            _version_and_header(b"not json"),
+            _version_and_header(b"{}"),
+            _version_and_header(b"[]"),
+            _version_and_header(json.dumps(
+                {"config": {**asdict(MLPConfig()), "input_dim": "9"}, "shapes": []}
+            ).encode()),
+        ],
+        ids=["magic-only", "no-header-length", "not-json", "empty-object", "array", "config-type"],
+    )
+    def test_malformed_header_names_the_file(self, tmp_path, tail):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + tail)
+        with pytest.raises(MLPError, match=re.escape(str(path))):
             load_model(path)
 
 
@@ -750,7 +775,7 @@ class TestPrecision:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(160, 16))
         y = rng.random(size=(160, 26))
-        n_params = init_model(cfg).num_parameters()
+        n_params = cfg.num_parameters()
         tracemalloc.start()
         try:
             train_mlp(cfg, (x[:128], y[:128]), (x[128:], y[128:]))

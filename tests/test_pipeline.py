@@ -185,6 +185,8 @@ class TestParseConfig:
             config_from_dict({"graph": "g", "seed": 0, "corpus": {"start_kind": "edge"}})
         with pytest.raises(ConfigError, match="num_walks"):
             config_from_dict({"graph": "g", "seed": 0, "corpus": {"num_walks": 0}})
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            EvalConfig(seed=-5)
 
     def test_hidden_dims_list(self):
         cfg = config_from_dict(
@@ -471,7 +473,7 @@ class TestCli:
         for name, cls in sections.items():
             block = re.search(rf"^  {name} +(.*(?:\n {{14}}\S.*)*)", out, re.M).group(1)
             for f in fields(cls):
-                if f.name not in ("input_dim", "output_dim"):
+                if f.name != "input_dim":
                     assert re.search(rf"\b{f.name}=", block), f"{name}.{f.name}"
 
     def test_help_lists_every_stage_with_its_files(self, capsys):

@@ -70,7 +70,7 @@ class TestBuildPlan:
     def test_matches_reference_bfs(self):
         """Wave distances equal multi-source shortest paths on random graphs."""
         for seed in range(8):
-            g, _ = generate(
+            g = generate(
                 SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, seed=seed)
             )
             lus = g.lexical_units()
@@ -190,6 +190,13 @@ class TestPropagate:
             np.testing.assert_array_equal(pred.labels, pred.raw >= 0.5)
 
 
+def _record(**changes) -> dict:
+    """A valid propagation record with `changes` applied; None drops a field."""
+    record = {"lu": [0, "pl"], "wave": 1, "raw": [0.0] * 26, "labels": [False] * 26}
+    record.update(changes)
+    return {k: v for k, v in record.items() if v is not None}
+
+
 class TestPropagationIO:
     def _result(self):
         g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
@@ -232,6 +239,28 @@ class TestPropagationIO:
         bad = json.dumps({"lu": [0, "pl"], "wave": 1, "raw": [0.0] * 25, "labels": [False] * 26})
         path.write_text(bad + "\n", encoding="utf-8")
         with pytest.raises(PropagationError, match="line 1: wrong vector length"):
+            load_propagation(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([_record()], "expected an object"),
+            (_record(lu=None), "missing field 'lu'"),
+            (_record(wave=None), "missing field 'wave'"),
+            (_record(lu=[0]), r"node reference must be \[id, lang\]"),
+            (_record(lu=["0", "pl"]), "node id must be an integer"),
+            (_record(wave="1"), "wave must be an integer"),
+            (_record(raw=["0.5"] * 26), "raw values must be numbers"),
+            (_record(labels=["abc"] * 26), "labels must be booleans"),
+        ],
+        ids=["array", "no-lu", "no-wave", "short-lu", "string-id", "string-wave", "string-raw",
+             "string-labels"],
+    )
+    def test_malformed_record(self, tmp_path, bad, message):
+        path = tmp_path / "prop.jsonl"
+        lines = [json.dumps(_record(lu=[1, "pl"])), json.dumps(bad)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(PropagationError, match="line 2: " + message):
             load_propagation(path)
 
     def test_loaded_ids_are_node_ids(self, tmp_path):

@@ -64,45 +64,39 @@ class TestPrototypes:
 class TestGenerate:
     def test_node_counts(self):
         cfg = SynthConfig(communities=4, synsets_per_community=10, lus_per_synset=3)
-        g, gold = generate(cfg)
+        g = generate(cfg)
         lus = [n for n in g.nodes if n.kind == LEXICAL_UNIT]
         synsets = [n for n in g.nodes if n.kind == SYNSET]
         assert len(lus) == 4 * 10 * 3 * 2
         assert len(synsets) == 4 * 10 * 2
-        assert set(gold) == set(lus)
+        assert set(g.annotations) == set(lus)
 
     def test_noise_zero_gives_exact_prototypes(self):
         cfg = SynthConfig(communities=3, synsets_per_community=4, lus_per_synset=2, seed=5)
-        g, gold = generate(cfg)
+        g = generate(cfg)
         n_syn, n_lu = cfg.synsets_per_community, cfg.lus_per_synset
-        for node, values in gold.items():
+        for node, values in g.annotations.items():
             community = (node.id // n_lu) // n_syn
             np.testing.assert_array_equal(values, community_prototype(community))
 
     def test_same_community_same_labels(self):
         cfg = SynthConfig(communities=2, synsets_per_community=3, lus_per_synset=2)
-        _, gold = generate(cfg)
+        g = generate(cfg)
         n = cfg.synsets_per_community * cfg.lus_per_synset
         by_comm = {}
-        for node, values in gold.items():
+        for node, values in g.annotations.items():
             by_comm.setdefault((node.lang, node.id // n), []).append(tuple(values))
         for group in by_comm.values():
             assert len(set(group)) == 1
 
     def test_graph_passes_validation(self):
-        g, _ = generate(SynthConfig(label_noise=0.2, seed=9))
+        g = generate(SynthConfig(label_noise=0.2, seed=9))
         report = validate_graph(g)
         assert report.ok, report.summary()
 
-    def test_annotations_match_gold(self):
-        g, gold = generate(SynthConfig(communities=2, synsets_per_community=3))
-        assert set(g.annotations) == set(gold)
-        for node in gold:
-            np.testing.assert_array_equal(g.annotations[node], gold[node])
-
     def test_membership_edges(self):
         cfg = SynthConfig(communities=2, synsets_per_community=3, lus_per_synset=2)
-        g, _ = generate(cfg)
+        g = generate(cfg)
         per_lu = {n: 0 for n in g.nodes if n.kind == LEXICAL_UNIT}
         for e in g.edges:
             if e.rel == MEMBERSHIP_RELATION:
@@ -112,14 +106,14 @@ class TestGenerate:
         assert all(c == 1 for c in per_lu.values())
 
     def test_interlingual_fraction_zero(self):
-        g, _ = generate(SynthConfig(interlingual_fraction=0.0))
+        g = generate(SynthConfig(interlingual_fraction=0.0))
         assert not any(e.rel.interlingual for e in g.edges)
 
     def test_interlingual_fraction_one(self):
         cfg = SynthConfig(
             communities=3, synsets_per_community=5, interlingual_fraction=1.0
         )
-        g, _ = generate(cfg)
+        g = generate(cfg)
         cross = [e for e in g.edges if e.rel.interlingual]
         assert len(cross) == cfg.communities * cfg.synsets_per_community
         for e in cross:
@@ -129,7 +123,7 @@ class TestGenerate:
 
     def test_intra_edges_stay_in_community(self):
         cfg = SynthConfig(communities=3, synsets_per_community=6, seed=2)
-        g, _ = generate(cfg)
+        g = generate(cfg)
         n = cfg.synsets_per_community
         for e in g.edges:
             if e.rel == INTRA_RELATION:
@@ -138,17 +132,17 @@ class TestGenerate:
 
     def test_determinism(self):
         cfg = SynthConfig(label_noise=0.3, seed=21)
-        g1, gold1 = generate(cfg)
-        g2, gold2 = generate(cfg)
+        g1 = generate(cfg)
+        g2 = generate(cfg)
         assert g1.nodes == g2.nodes
         assert g1.edges == g2.edges
-        assert set(gold1) == set(gold2)
-        for node in gold1:
-            np.testing.assert_array_equal(gold1[node], gold2[node])
+        assert list(g1.annotations) == list(g2.annotations)
+        for node in g1.annotations:
+            np.testing.assert_array_equal(g1.annotations[node], g2.annotations[node])
 
     def test_seeds_differ(self):
-        gold_a = generate(SynthConfig(label_noise=0.3, seed=1))[1]
-        gold_b = generate(SynthConfig(label_noise=0.3, seed=2))[1]
+        gold_a = generate(SynthConfig(label_noise=0.3, seed=1)).annotations
+        gold_b = generate(SynthConfig(label_noise=0.3, seed=2)).annotations
         same = all(np.array_equal(gold_a[n], gold_b[n]) for n in gold_a)
         assert not same
 
@@ -162,11 +156,11 @@ class TestGenerate:
             label_noise=noise,
             seed=33,
         )
-        _, gold = generate(cfg)
+        g = generate(cfg)
         n_syn, n_lu = cfg.synsets_per_community, cfg.lus_per_synset
         flips = 0
         total = 0
-        for node, values in gold.items():
+        for node, values in g.annotations.items():
             proto = community_prototype((node.id // n_lu) // n_syn)
             flips += int(np.sum(values != proto))
             total += values.size
@@ -175,12 +169,12 @@ class TestGenerate:
         assert abs(rate - noise) < 4 * sigma
 
     def test_noisy_values_stay_binary(self):
-        _, gold = generate(SynthConfig(label_noise=0.4, seed=3))
-        for values in gold.values():
+        g = generate(SynthConfig(label_noise=0.4, seed=3))
+        for values in g.annotations.values():
             assert set(np.unique(values)) <= {0.0, 1.0}
 
     def test_single_language(self):
-        g, gold = generate(SynthConfig(languages=("pl",)))
-        assert g.languages() == ["pl"]
+        g = generate(SynthConfig(languages=("pl",)))
+        assert {n.lang for n in g.nodes} == {"pl"}
         assert not any(e.rel.interlingual for e in g.edges)
-        assert len(gold) == 4 * 10 * 3
+        assert len(g.annotations) == 4 * 10 * 3
