@@ -13,9 +13,15 @@ planned number of pairs.  Each training step runs `sgns_loss_and_grads` on
 one center and its whole window, the kernel the gradient checks test.
 Training is sequential and deterministic per seed.  Each walk draws the
 negatives of all its centers in one call on the seeded stream, which
-yields the same values, in the same order, as one call per center.  An optional
+yields the same values, in the same order, as one call per center.  Which
+walk and negative positions each center reads depends only on the walk
+length, the window and k, so a plan of them is built once per length.  A
+walk gathers the output-row indices of all its centers, and their flat
+scatter indices, in one step, and each center takes its slice.  An optional
 character-n-gram subword table composes vectors for tokens outside the
-vocabulary.
+vocabulary.  A subword center updates its rows in rounds of distinct rows,
+one round per listing, so a row listed twice ("banana": "ana") takes the
+update twice, with the same bytes as one subtraction per listing.
 """
 
 from __future__ import annotations
@@ -214,6 +220,43 @@ def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
     return cdf
 
 
+def _walk_plan(n: int, window: int, k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Where each center of an ``n``-token walk finds its output rows.
+
+    Returns positions into ``concatenate((walk, negatives))`` that list, for
+    center after center, its contexts (left, then right) and then its
+    ``n_ctx * k`` negatives, and per center ``(n_ctx, start, end)``: its
+    slice of those positions.
+    """
+    pos: list[int] = []
+    spans = []
+    neg = n
+    for i in range(n):
+        start = len(pos)
+        pos.extend(range(max(0, i - window), i))
+        pos.extend(range(i + 1, min(n, i + 1 + window)))
+        n_ctx = len(pos) - start
+        pos.extend(range(neg, neg + n_ctx * k))
+        neg += n_ctx * k
+        spans.append((n_ctx, start, len(pos)))
+    return np.array(pos, dtype=np.int64), spans
+
+
+def _distinct_rounds(rows: list[int]) -> list[np.ndarray]:
+    """Split a row listing into rounds of distinct rows: the j-th listing
+    of a row goes to round j, so subtracting one update per round gives
+    every row one update per listing."""
+    rounds: list[list[int]] = []
+    listed: dict[int, int] = {}
+    for row in rows:
+        j = listed.get(row, 0)
+        listed[row] = j + 1
+        if j == len(rounds):
+            rounds.append([])
+        rounds[j].append(row)
+    return [np.array(r, dtype=np.int64) for r in rounds]
+
+
 def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingTable:
     """Train token vectors over the corpus; pure function of (corpus, cfg).
 
@@ -230,7 +273,7 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
 
     ngram_to_index: dict[str, int] = {}
     ngram_vectors: np.ndarray | None = None
-    token_rows: list[np.ndarray] | None = None
+    token_rows: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
     if cfg.subword is not None:
         minn, maxn = cfg.subword
         per_token_grams = [token_ngrams(tok, minn, maxn) for tok in vocab.tokens]
@@ -239,13 +282,10 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
                 if gram not in ngram_to_index:
                     ngram_to_index[gram] = len(ngram_to_index)
         ngram_vectors = (rng.random((len(ngram_to_index), dim)) - 0.5) / dim
-        token_rows = [
-            np.array(
-                [i] + [n_tokens + ngram_to_index[gram] for gram in per_token_grams[i]],
-                dtype=np.int64,
-            )
-            for i in range(n_tokens)
-        ]
+        token_rows = []
+        for i in range(n_tokens):
+            rows = [i] + [n_tokens + ngram_to_index[gram] for gram in per_token_grams[i]]
+            token_rows.append((np.array(rows, dtype=np.int64), _distinct_rounds(rows)))
         # single input matrix: token rows first, n-gram rows after
         input_vectors = np.vstack([input_vectors, ngram_vectors])
 
@@ -271,6 +311,7 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
     # element still receives its window's additions in window order
     out_flat = output_vectors.reshape(-1)
     cols = np.arange(dim)
+    plans: dict[int, tuple[np.ndarray, list[tuple[int, int, int]]]] = {}
 
     for _epoch in range(cfg.epochs):
         epoch_loss = 0.0
@@ -279,32 +320,36 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
             # order, as one draw per center
             negs = np.searchsorted(cdf, rng.random(n_pairs * k))
             n = len(seq)
-            o = 0
-            for i in range(n):
-                n_ctx = min(i, window) + min(n - 1 - i, window)
-                idx = np.concatenate(
-                    (seq[max(0, i - window) : i], seq[i + 1 : i + 1 + window], negs[o : o + n_ctx * k])
-                )
-                o += n_ctx * k
+            plan = plans.get(n)
+            if plan is None:
+                plan = plans[n] = _walk_plan(n, window, k)
+            pos, spans = plan
+            walk_idx = np.concatenate((seq, negs))[pos]
+            walk_flat = (walk_idx[:, None] * dim + cols).ravel()
+            for center_idx, (n_ctx, start, end) in zip(seq.tolist(), spans):
                 lr = lr0 * (1.0 - seen / total_pairs)
-                center_idx = seq[i]
                 if token_rows is not None:
-                    in_rows = token_rows[center_idx]
+                    in_rows, rounds = token_rows[center_idx]
                     # np.mean's arithmetic (sum, then divide) without its overhead
-                    v = input_vectors[in_rows].sum(axis=0) / len(in_rows)
+                    v = np.add.reduce(input_vectors.take(in_rows, axis=0), axis=0) / len(in_rows)
                 else:
-                    in_rows = None
                     v = input_vectors[center_idx]
 
-                loss, d_center, d_rows = sgns_loss_and_grads(v, output_vectors[idx], n_ctx)
+                loss, d_center, d_rows = sgns_loss_and_grads(
+                    v, output_vectors.take(walk_idx[start:end], axis=0), n_ctx
+                )
                 epoch_loss += loss
-                np.add.at(out_flat, (idx[:, None] * dim + cols).ravel(), (-lr * d_rows).ravel())
-                if in_rows is None:
+                d_rows *= -lr
+                np.add.at(out_flat, walk_flat[start * dim : end * dim], d_rows.ravel())
+                if token_rows is None:
                     input_vectors[center_idx] -= lr * d_center
                 else:
                     # a token listing an n-gram twice ("banana": "ana") counts
-                    # that row twice in its mean and updates it once per listing
-                    np.subtract.at(input_vectors, in_rows, (lr / len(in_rows)) * d_center)
+                    # that row twice in its mean and updates it once per
+                    # listing, one round of distinct rows per listing
+                    d_center *= lr / len(in_rows)
+                    for rows in rounds:
+                        input_vectors[rows] -= d_center
                 seen += n_ctx
         mean_loss = epoch_loss / pairs_per_epoch / (1 + k)
         if not np.isfinite(mean_loss):

@@ -228,15 +228,25 @@ def _forward_cached(
 def make_dropout_masks(
     cfg: MLPConfig, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray | None]:
-    """float32 inverted-dropout masks: 0 or 1/(1-p), computed in float64."""
+    """float32 inverted-dropout masks: 0 or 1/(1-p), computed in float64.
+
+    Each layer's uniforms are drawn into one float64 scratch and compared
+    into one boolean scratch, both sized for the widest masked layer, so a
+    call allocates little beyond the masks it returns.
+    """
     hidden = cfg.resolved_hidden()
     active = cfg.dropout_layers()
     kept = np.float32(1.0 / (1.0 - cfg.dropout))
+    size = batch_size * max((hidden[li] for li in active), default=0)
+    draws = np.empty(size)
+    keep = np.empty(size, dtype=bool)
     masks: list[np.ndarray | None] = []
     for li, width in enumerate(hidden):
         if li in active:
-            keep = rng.random((batch_size, width)) >= cfg.dropout
-            masks.append(np.where(keep, kept, np.float32(0.0)))
+            n = batch_size * width
+            u = rng.random(out=draws[:n].reshape(batch_size, width))
+            k = np.greater_equal(u, cfg.dropout, out=keep[:n].reshape(u.shape))
+            masks.append(np.multiply(k, kept, out=np.empty(u.shape, dtype=np.float32)))
         else:
             masks.append(None)
     return masks

@@ -237,8 +237,8 @@ def _prediction(record: object) -> tuple[NodeId, Prediction]:
 
 
 def load_propagation(path) -> dict[NodeId, Prediction]:
-    """Read a `save_propagation` file; a malformed line raises
-    PropagationError with its line number."""
+    """Read a `save_propagation` file; a malformed line, or a second line
+    for the same LU, raises PropagationError with its line number."""
     predictions: dict[NodeId, Prediction] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -251,5 +251,7 @@ def load_propagation(path) -> dict[NodeId, Prediction]:
                 raise PropagationError(f"line {lineno}: invalid JSON: {exc}") from exc
             except PropagationError as exc:
                 raise PropagationError(f"line {lineno}: {exc}") from exc
+            if lu in predictions:
+                raise PropagationError(f"line {lineno}: duplicate prediction for {lu}")
             predictions[lu] = pred
     return predictions

@@ -252,6 +252,34 @@ def _reference_train(sequences, cfg):
     return input_vectors, output_vectors, ngram_vectors, history
 
 
+def _graph_walks():
+    g = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl", "en"), seed=8))
+    # walks of 3 to 11 tokens, some shorter than the window; rare tokens
+    # fall below min_count, one walk shrinks to a single known token
+    seqs = generate_corpus(g, CorpusConfig(num_walks=120, length=6, seed=4)).sequences
+    return seqs + [["rare1", seqs[0][0], "rare2"], [seqs[1][0], "rare3", seqs[2][0]]]
+
+
+def _every_length_walks():
+    """Four walks of each length from 2 to 7 known tokens (2*window+3 at
+    window 2), so each per-length plan is built once and reused, within an
+    epoch and across epochs; every other walk also holds a token seen once,
+    which min_count=2 drops, and one walk shrinks to a single known token.
+    "banana", "ananas" and "nanana" list some n-grams two or three times,
+    so with subwords their rows are updated over several rounds."""
+    assert token_ngrams("nanana", 2, 4).count("na") == 3
+    rng = np.random.default_rng(6)
+    words = ["banana", "ananas", "nanana", "kiwi", "mango"]
+    seqs = []
+    for n in range(2, 8):
+        for j in range(4):
+            seq = [words[w] for w in rng.integers(0, len(words), size=n)]
+            if j % 2:
+                seq.insert(int(rng.integers(0, n + 1)), f"rare{n}_{j}")
+            seqs.append(seq)
+    return seqs + [["rare", words[0]]]
+
+
 def _tiny_corpus():
     return [["X", "Y"]] * 50 + [["Z", "W"]] * 50
 
@@ -292,19 +320,17 @@ class TestTraining:
         assert wrapped.loss_history == plain.loss_history
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, walks",
         [
-            EmbedConfig(dim=12, window=8, epochs=2, min_count=2, negatives=4, seed=9),
-            EmbedConfig(dim=10, window=3, epochs=1, subword=(2, 4), seed=2),
+            (EmbedConfig(dim=12, window=8, epochs=2, min_count=2, negatives=4, seed=9), _graph_walks),
+            (EmbedConfig(dim=10, window=3, epochs=1, subword=(2, 4), seed=2), _graph_walks),
+            (EmbedConfig(dim=9, window=2, epochs=3, min_count=2, negatives=3, seed=3), _every_length_walks),
+            (EmbedConfig(dim=9, window=2, epochs=3, min_count=2, subword=(2, 4), seed=3), _every_length_walks),
         ],
-        ids=["plain", "subword"],
+        ids=["plain", "subword", "every-length", "every-length-subword"],
     )
-    def test_matches_reference_loop(self, cfg):
-        g = generate(SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, languages=("pl", "en"), seed=8))
-        # walks of 3 to 11 tokens, some shorter than the window; rare tokens
-        # fall below min_count, one walk shrinks to a single known token
-        seqs = generate_corpus(g, CorpusConfig(num_walks=120, length=6, seed=4)).sequences
-        seqs = seqs + [["rare1", seqs[0][0], "rare2"], [seqs[1][0], "rare3", seqs[2][0]]]
+    def test_matches_reference_loop(self, cfg, walks):
+        seqs = walks()
         table = train_embeddings(seqs, cfg)
         inputs, outputs, ngrams, history = _reference_train(seqs, cfg)
         assert np.array_equal(table.input_vectors, inputs)

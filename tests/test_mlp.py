@@ -185,6 +185,21 @@ class TestForward:
             assert m.shape == (6, 40)
             assert set(np.unique(m)).issubset({0.0, 1.25})
 
+    def test_masks_match_where_construction(self):
+        """The in-place masks carry the bits of np.where over a fresh
+        draw, layer after layer from the same stream, and leave the
+        stream where those draws would."""
+        cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=(30, 70, 20), dropout=0.3, seed=0)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        masks = make_dropout_masks(cfg, 9, rng)
+        kept = np.float32(1.0 / (1.0 - cfg.dropout))
+        for m, width in zip(masks[:2], (30, 70)):
+            want = np.where(ref_rng.random((9, width)) >= cfg.dropout, kept, np.float32(0.0))
+            assert m.dtype == np.float32
+            assert np.array_equal(m.view(np.uint32), want.view(np.uint32))
+        assert masks[2] is None
+        assert rng.random() == ref_rng.random()
+
     def test_dropout_expectation(self):
         """With nonnegative weights the net is linear in the masks, so the
         inverted-dropout average over many draws must converge to the

@@ -263,6 +263,14 @@ class TestPropagationIO:
         with pytest.raises(PropagationError, match="line 2: " + message):
             load_propagation(path)
 
+    def test_duplicate_lu(self, tmp_path):
+        """A second record for an LU is refused, not loaded over the first."""
+        path = tmp_path / "prop.jsonl"
+        lines = [json.dumps(_record(wave=1)), json.dumps(_record(lu=[1, "pl"])), json.dumps(_record(wave=3))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(PropagationError, match=r"line 3: duplicate prediction for .*id=0, lang='pl'"):
+            load_propagation(path)
+
     def test_loaded_ids_are_node_ids(self, tmp_path):
         result = self._result()
         path = tmp_path / "prop.jsonl"
