@@ -21,9 +21,6 @@ import numpy as np
 
 from .graph import Edge, GraphError, NodeId, WordNetGraph, _KIND_LETTER
 
-START_KINDS = ("all", "synset", "lu")
-
-
 def node_token(node: NodeId) -> str:
     return f"{_KIND_LETTER[node.kind]}#{node.lang}#{node.id}"
 
@@ -40,7 +37,6 @@ class CorpusConfig:
     num_walks: int = 1000
     length: int = 20
     cross_lingual: bool = True
-    start_kind: str = "all"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -48,8 +44,6 @@ class CorpusConfig:
             raise ValueError("num_walks must be >= 1")
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        if self.start_kind not in START_KINDS:
-            raise ValueError(f"start_kind must be one of {START_KINDS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -85,14 +79,11 @@ def random_walk(
     visited = {start}
     current = start
     for _ in range(length - 1):
-        if cross_lingual:
-            admissible = [(e, m) for e, m in adjacency[current] if m not in visited]
-        else:
-            admissible = [
-                (e, m)
-                for e, m in adjacency[current]
-                if m not in visited and m.lang == current.lang
-            ]
+        admissible = [
+            (e, m)
+            for e, m in adjacency[current]
+            if m not in visited and (cross_lingual or m.lang == current.lang)
+        ]
         if not admissible:
             break
         edge, nxt = admissible[rng.integers(len(admissible))]
@@ -104,19 +95,11 @@ def random_walk(
 
 
 def generate_corpus(g: WordNetGraph, cfg: CorpusConfig) -> WalkCorpus:
-    """Run ``cfg.num_walks`` seeded walks, start nodes drawn uniformly.
-
-    cfg.start_kind restricts the start-node pool ("all", "synset" or "lu");
-    traversal itself is unrestricted by kind either way.
-    """
+    """Run ``cfg.num_walks`` seeded walks, each from a start node drawn
+    uniformly from every node of the graph."""
     if not g.nodes:
         raise GraphError("cannot generate walks on an empty graph")
-    if cfg.start_kind == "all":
-        candidates = sorted(g.nodes)
-    else:
-        candidates = sorted(n for n in g.nodes if n.kind == cfg.start_kind)
-    if not candidates:
-        raise GraphError(f"graph has no {cfg.start_kind} nodes to start from")
+    candidates = sorted(g.nodes)
 
     sequences = []
     for i in range(cfg.num_walks):

@@ -15,13 +15,15 @@ Training is sequential and deterministic per seed.  Each walk draws the
 negatives of all its centers in one call on the seeded stream, which
 yields the same values, in the same order, as one call per center.  Which
 walk and negative positions each center reads depends only on the walk
-length, the window and k, so a plan of them is built once per length.  A
-walk gathers the output-row indices of all its centers, and their flat
-scatter indices, in one step, and each center takes its slice.  An optional
-character-n-gram subword table composes vectors for tokens outside the
-vocabulary.  A subword center updates its rows in rounds of distinct rows,
-one round per listing, so a row listed twice ("banana": "ana") takes the
-update twice, with the same bytes as one subtraction per listing.
+length, the window and k, so a plan of them is built once per length
+before training; it lists every context, so it also gives each walk's
+pair count and with it the learning-rate schedule.  A walk gathers the
+output-row indices of all its centers, and their flat scatter indices, in
+one step, and each center takes its slice.  An optional character-n-gram
+subword table composes vectors for tokens outside the vocabulary.  A
+subword center updates its rows in rounds of distinct rows, one round per
+listing, so a row listed twice ("banana": "ana") takes the update twice,
+with the same bytes as one subtraction per listing.
 """
 
 from __future__ import annotations
@@ -205,14 +207,6 @@ def sgns_loss_and_grads(
     return loss, coef @ rows, coef[:, None] * center
 
 
-def window_pairs(n: int, window: int) -> int:
-    """(center, context) pairs in a sequence of ``n`` tokens: twice the sum
-    over positions i of min(i, window)."""
-    if n - 1 <= window:
-        return n * (n - 1)
-    return window * (window + 1) + 2 * (n - 1 - window) * window
-
-
 def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
     weights = counts.astype(np.float64) ** exponent
     cdf = np.cumsum(weights / weights.sum())
@@ -297,7 +291,9 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
 
     window = cfg.window
     k = cfg.negatives
-    walk_pairs = [window_pairs(len(seq), window) for seq in indexed]
+    plans = {n: _walk_plan(n, window, k) for n in {len(seq) for seq in indexed}}
+    # a plan lists each context once and k negatives for it
+    walk_pairs = [len(plans[len(seq)][0]) // (1 + k) for seq in indexed]
     pairs_per_epoch = sum(walk_pairs)
     total_pairs = pairs_per_epoch * cfg.epochs
     if total_pairs == 0:
@@ -311,7 +307,6 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
     # element still receives its window's additions in window order
     out_flat = output_vectors.reshape(-1)
     cols = np.arange(dim)
-    plans: dict[int, tuple[np.ndarray, list[tuple[int, int, int]]]] = {}
 
     for _epoch in range(cfg.epochs):
         epoch_loss = 0.0
@@ -319,11 +314,7 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
             # one draw per walk: the same doubles, in the same stream
             # order, as one draw per center
             negs = np.searchsorted(cdf, rng.random(n_pairs * k))
-            n = len(seq)
-            plan = plans.get(n)
-            if plan is None:
-                plan = plans[n] = _walk_plan(n, window, k)
-            pos, spans = plan
+            pos, spans = plans[len(seq)]
             walk_idx = np.concatenate((seq, negs))[pos]
             walk_flat = (walk_idx[:, None] * dim + cols).ravel()
             for center_idx, (n_ctx, start, end) in zip(seq.tolist(), spans):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc, ndtr, ndtri
 
 from .graph import DIMENSIONS, NUM_DIMENSIONS, WordNetGraph
 from .mlp import MLPConfig, binarize
@@ -86,6 +85,7 @@ class ComparisonReport:
     ttest: TTestResult | None
     significant: bool | None
     identical: bool
+    mean_difference: float
     notes: list[str] = field(default_factory=list)
 
 
@@ -205,13 +205,6 @@ _SW_STQR = 1.04719755119660
 _SW_SMALL = 1e-19
 
 
-def _poly(coeffs: tuple[float, ...], x: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
     """W statistic and its p-value under the normality null.
 
@@ -220,6 +213,9 @@ def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
     p-value transforms W to an approximately standard normal z whose
     parameters depend on n (a direct arcsine formula at n = 3).
     """
+    from numpy.polynomial.polynomial import polyval
+    from scipy.special import ndtr, ndtri
+
     x = np.sort(np.asarray(list(sample), dtype=np.float64))
     n = x.size
     if n < 3:
@@ -235,9 +231,9 @@ def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
     if n == 3:
         a = np.array([-np.sqrt(0.5), 0.0, np.sqrt(0.5)])
     else:
-        a_top = m[-1] / np.sqrt(ssumm2) + _poly(_SW_C1, rsn)
+        a_top = m[-1] / np.sqrt(ssumm2) + polyval(rsn, _SW_C1)
         if n > 5:
-            a_next = m[-2] / np.sqrt(ssumm2) + _poly(_SW_C2, rsn)
+            a_next = m[-2] / np.sqrt(ssumm2) + polyval(rsn, _SW_C2)
             fac = np.sqrt(
                 (ssumm2 - 2 * m[-1] ** 2 - 2 * m[-2] ** 2)
                 / (1 - 2 * a_top**2 - 2 * a_next**2)
@@ -259,18 +255,28 @@ def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
 
     y = float(np.log(max(1.0 - w, _SW_SMALL)))
     if n <= 11:
-        gamma = _poly(_SW_G, float(n))
+        gamma = polyval(float(n), _SW_G)
         if y >= gamma:
             return ShapiroResult(w, _SW_SMALL)
         y = -np.log(gamma - y)
-        mu = _poly(_SW_C3, float(n))
-        sigma = np.exp(_poly(_SW_C4, float(n)))
+        mu = polyval(float(n), _SW_C3)
+        sigma = np.exp(polyval(float(n), _SW_C4))
     else:
         log_n = np.log(float(n))
-        mu = _poly(_SW_C5, log_n)
-        sigma = np.exp(_poly(_SW_C6, log_n))
+        mu = polyval(log_n, _SW_C5)
+        sigma = np.exp(polyval(log_n, _SW_C6))
     p = float(ndtr(-(y - mu) / sigma))
     return ShapiroResult(w, min(max(p, 0.0), 1.0))
+
+
+def _paired_differences(a: Iterable[float], b: Iterable[float]) -> np.ndarray:
+    a = np.asarray(list(a), dtype=np.float64)
+    b = np.asarray(list(b), dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise EvalError(f"paired samples differ in shape: {a.shape} vs {b.shape}")
+    if a.size < 2:
+        raise EvalError("need at least 2 pairs")
+    return a - b
 
 
 def paired_t_test(a: Iterable[float], b: Iterable[float]) -> TTestResult:
@@ -280,14 +286,10 @@ def paired_t_test(a: Iterable[float], b: Iterable[float]) -> TTestResult:
     p-value comes from the t CDF expressed through the regularized
     incomplete beta function.
     """
-    a = np.asarray(list(a), dtype=np.float64)
-    b = np.asarray(list(b), dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise EvalError(f"paired samples differ in shape: {a.shape} vs {b.shape}")
-    n = a.size
-    if n < 2:
-        raise EvalError("need at least 2 pairs")
-    d = a - b
+    from scipy.special import betainc
+
+    d = _paired_differences(a, b)
+    n = d.size
     sd = float(np.std(d, ddof=1))
     if sd == 0.0:
         raise EvalError("zero-variance differences (samples identical up to a shift)")
@@ -302,10 +304,13 @@ def compare_runs(
 ) -> ComparisonReport:
     """Normality check on each per-fold sample, then the paired t-test.
 
-    Degenerate inputs are reported instead of raised: a zero-variance
-    sample leaves its normality flag undetermined, and identical paired
-    samples produce identical=True with no test statistic.
+    Samples of unequal length or with fewer than 2 pairs raise EvalError.
+    Other degenerate inputs are reported instead of raised: a zero-variance
+    sample leaves its normality flag undetermined, and paired differences
+    of zero variance leave no test statistic, with identical=True only
+    when every difference is 0.
     """
+    diff = _paired_differences(f1_a, f1_b)
     notes: list[str] = []
 
     def _shapiro(sample, label):
@@ -326,8 +331,10 @@ def compare_runs(
         ttest = paired_t_test(f1_a, f1_b)
         significant = bool(ttest.pvalue < alpha)
     except EvalError:
-        identical = True
-        notes.append("identical samples: paired differences have zero variance")
+        # the samples passed _paired_differences, so the differences are constant
+        identical = not diff.any()
+        kind = "identical samples" if identical else "constant difference"
+        notes.append(f"{kind}: paired differences have zero variance")
     return ComparisonReport(
         alpha=alpha,
         shapiro_a=shapiro_a,
@@ -337,6 +344,7 @@ def compare_runs(
         ttest=ttest,
         significant=significant,
         identical=identical,
+        mean_difference=float(diff.mean()),
         notes=notes,
     )
 
@@ -420,7 +428,11 @@ def format_comparison(report: ComparisonReport) -> str:
             )
     if report.identical:
         lines.append("paired t-test: identical samples, no statistic")
-    elif report.ttest is not None:
+    elif report.ttest is None:
+        lines.append(
+            f"paired t-test: constant difference {report.mean_difference:.4f}, no statistic"
+        )
+    else:
         verdict = "significant" if report.significant else "not significant"
         lines.append(
             f"paired t-test: t = {report.ttest.statistic:.4f}, "

@@ -2,9 +2,11 @@
 
 Nodes are identified by (kind, numeric id, language); edges carry a typed
 relation whose category encodes the endpoint kinds (SS, SL, LS, LL) and an
-inter-lingual flag.  Lexical units may carry a 26-dimensional annotation
-vector (6 polarity grades, 8 basic emotions, 12 valuations) with entries
-in [0, 1], interpretable as annotator agreement fractions.
+inter-lingual flag, true exactly when the endpoint languages differ.
+Lexical units may carry a 26-dimensional annotation vector (6 polarity
+grades, 8 basic emotions, 12 valuations) with entries in [0, 1],
+interpretable as annotator agreement fractions.  The builder refuses
+input that breaks either of these two rules.
 
 The graph is built once (from a JSON-lines file or programmatically) and is
 immutable by convention afterwards; adjacency is finalized lazily and reads
@@ -92,7 +94,7 @@ def _expected_kinds(category: str) -> tuple[str, str]:
 
 
 def validate_annotation(values: Iterable[float], where: str = "annotation") -> np.ndarray:
-    """Coerce to a float vector of exactly NUM_DIMENSIONS finite numbers;
+    """Coerce to a float vector of exactly NUM_DIMENSIONS numbers in [0, 1];
     strings, booleans and nulls are not numbers."""
     try:
         arr = np.asarray(list(values))
@@ -105,6 +107,8 @@ def validate_annotation(values: Iterable[float], where: str = "annotation") -> n
         raise GraphError(f"{where}: expected {NUM_DIMENSIONS} values, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise GraphError(f"{where}: non-finite annotation value")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise GraphError(f"{where}: annotation value outside [0, 1]")
     return arr
 
 
@@ -153,6 +157,11 @@ class WordNetGraph:
             raise GraphError(
                 f"category {edge.rel.category} does not match endpoint kinds "
                 f"({edge.src.kind} -> {edge.dst.kind})"
+            )
+        if edge.rel.interlingual != (edge.src.lang != edge.dst.lang):
+            raise GraphError(
+                f"interlingual={edge.rel.interlingual} does not match endpoint languages "
+                f"({edge.src.lang} -> {edge.dst.lang})"
             )
         self.edges.append(edge)
         self._adjacency = None
@@ -249,8 +258,9 @@ def parse_wordnet_file(path: str | Path) -> WordNetGraph:
 
     One object per line with a ``kind`` field in ``RECORD_FIELDS``.  Node
     definitions may appear in any order relative to the edges that
-    reference them; duplicate nodes, unknown endpoints and malformed lines
-    are errors reported with their line number.
+    reference them; duplicate nodes, unknown endpoints, malformed lines and
+    breaches of the module's two graph rules are errors reported with their
+    line number.
     """
     records: list[tuple[int, dict]] = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -314,62 +324,3 @@ def write_wordnet_file(g: WordNetGraph, path: str | Path) -> None:
             values = [float(v) for v in g.annotations[node]]
             obj = {"kind": "annotation", "lu": [node.id, node.lang], "values": values}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-@dataclass
-class ValidationReport:
-    """Report-only integrity check results for a WordNetGraph."""
-
-    dangling_endpoints: list[Edge] = field(default_factory=list)
-    interlingual_mismatches: list[Edge] = field(default_factory=list)
-    annotation_range_violations: list[NodeId] = field(default_factory=list)
-    nodes_by_language: dict[str, int] = field(default_factory=dict)
-    edges_by_category: dict[str, int] = field(default_factory=dict)
-    annotation_count: int = 0
-
-    @property
-    def num_violations(self) -> int:
-        return (
-            len(self.dangling_endpoints)
-            + len(self.interlingual_mismatches)
-            + len(self.annotation_range_violations)
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.num_violations == 0
-
-    def summary(self) -> str:
-        lines = [
-            f"nodes by language: {self.nodes_by_language}",
-            f"edges by category: {self.edges_by_category}",
-            f"annotations: {self.annotation_count}",
-            f"violations: {self.num_violations}",
-        ]
-        for e in self.interlingual_mismatches:
-            lines.append(f"  interlingual flag mismatch: {e.src} -> {e.dst} ({e.rel.name})")
-        for n in self.annotation_range_violations:
-            lines.append(f"  annotation out of [0,1]: {n}")
-        for e in self.dangling_endpoints:
-            lines.append(f"  dangling endpoint: {e}")
-        return "\n".join(lines)
-
-
-def validate_graph(g: WordNetGraph) -> ValidationReport:
-    """Check edge flags and annotation ranges; never raises."""
-    report = ValidationReport()
-    for n in g.nodes:
-        report.nodes_by_language[n.lang] = report.nodes_by_language.get(n.lang, 0) + 1
-    for e in g.edges:
-        report.edges_by_category[e.rel.category] = (
-            report.edges_by_category.get(e.rel.category, 0) + 1
-        )
-        if e.src not in g.nodes or e.dst not in g.nodes:
-            report.dangling_endpoints.append(e)
-        if e.rel.interlingual != (e.src.lang != e.dst.lang):
-            report.interlingual_mismatches.append(e)
-    for node, values in g.annotations.items():
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            report.annotation_range_violations.append(node)
-    report.annotation_count = len(g.annotations)
-    return report

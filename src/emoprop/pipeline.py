@@ -30,7 +30,7 @@ from .corpus import (
     save_corpus,
 )
 from .embed import EmbedConfig, load_embeddings, save_embeddings, train_embeddings
-from .evaluate import format_metrics_table, run_cv
+from .evaluate import NUM_FOLDS, format_metrics_table, run_cv
 from .graph import WordNetGraph, parse_wordnet_file, write_wordnet_file
 from .mlp import MLPConfig, save_model, train_mlp
 from .propagate import annotation_matrix, embedding_matrix, propagate, save_propagation
@@ -76,7 +76,7 @@ class PropagateConfig:
 
 @dataclass
 class EvalConfig:
-    folds: int = 10
+    folds: int = NUM_FOLDS
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -1,7 +1,6 @@
 """Walk generation: token formats, self-avoidance, determinism."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from emoprop.graph import (
     WordNetGraph,
 )
 from emoprop.synth import SynthConfig, generate
-from helpers import HYPO, chain_graph, lu, synset
+from helpers import HYPO, lu, synset
 
 NODE_RE = re.compile(r"^[SL]#[a-z]+#\d+$")
 EDGE_RE = re.compile(r"^ri?(SS|SL|LS|LL)#.+$")
@@ -160,7 +159,7 @@ class TestGenerateCorpus:
 
     def test_walk_count(self):
         g = _path_graph()
-        cfg = CorpusConfig(num_walks=7, length=4, seed=9, cross_lingual=False, start_kind="synset")
+        cfg = CorpusConfig(num_walks=7, length=4, seed=9, cross_lingual=False)
         corpus = generate_corpus(g, cfg)
         assert len(corpus.sequences) == 7
 
@@ -197,28 +196,12 @@ class TestGenerateCorpus:
             langs = {tok.split("#")[1] for tok in seq[0::2]}
             assert len(langs) == 1
 
-    def test_start_kind_restriction(self):
-        g = chain_graph(n_synsets=3, lus_per=2)
-        cfg = CorpusConfig(num_walks=40, length=3, seed=1, start_kind="synset")
-        from_synsets = generate_corpus(g, cfg)
-        assert all(seq[0].startswith("S#") for seq in from_synsets.sequences)
-        from_lus = generate_corpus(g, replace(cfg, start_kind="lu"))
-        assert all(seq[0].startswith("L#") for seq in from_lus.sequences)
-
-    def test_start_kind_pool_empty(self):
-        g = WordNetGraph()
-        g.add_node(synset(0))
-        with pytest.raises(GraphError, match="no lu nodes"):
-            generate_corpus(g, CorpusConfig(num_walks=5, length=3, seed=0, start_kind="lu"))
-
     def test_bad_parameters(self):
         g = _path_graph()
         with pytest.raises(ValueError, match="num_walks"):
             generate_corpus(g, CorpusConfig(num_walks=0, length=3))
         with pytest.raises(ValueError, match="length"):
             generate_corpus(g, CorpusConfig(num_walks=3, length=0))
-        with pytest.raises(ValueError, match="start_kind"):
-            generate_corpus(g, CorpusConfig(num_walks=3, length=3, start_kind="edge"))
         with pytest.raises(ValueError, match="seed must be non-negative"):
             generate_corpus(g, CorpusConfig(num_walks=3, length=3, seed=-1))
         with pytest.raises(GraphError, match="empty graph"):

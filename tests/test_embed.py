@@ -17,7 +17,6 @@ from emoprop.embed import (
     sgns_loss_and_grads,
     token_ngrams,
     train_embeddings,
-    window_pairs,
 )
 from emoprop.synth import SynthConfig, generate
 
@@ -136,14 +135,6 @@ class TestSgnsGradients:
             loss = sgns_loss_and_grads(center, rows, n_pos)[0]
             assert loss == pytest.approx(expected, rel=1e-12)
         assert largest > 60.0
-
-
-class TestWindowPairs:
-    def test_matches_position_by_position_count(self):
-        for window in range(1, 13):
-            for n in range(2, 26):
-                brute = sum(min(i, window) + min(n - 1 - i, window) for i in range(n))
-                assert window_pairs(n, window) == brute, (n, window)
 
 
 def _reference_train(sequences, cfg):

@@ -239,6 +239,22 @@ class TestCompareRuns:
         text = format_comparison(report)
         assert "paired t-test: identical samples, no statistic" in text
 
+    def test_constant_shift_is_not_identical(self):
+        report = compare_runs([1.0, 2.0, 3.0, 4.0], [0.5, 1.5, 2.5, 3.5])
+        assert report.identical is False
+        assert report.ttest is None
+        assert report.significant is None
+        assert report.mean_difference == 0.5
+        text = format_comparison(report)
+        assert "paired t-test: constant difference 0.5000, no statistic" in text
+        assert "identical" not in text
+
+    def test_unpaired_samples_rejected(self):
+        with pytest.raises(EvalError, match="differ in shape"):
+            compare_runs([0.5, 0.6, 0.7, 0.8], [0.5, 0.6, 0.7])
+        with pytest.raises(EvalError, match="at least 2 pairs"):
+            compare_runs([0.5], [0.6])
+
     def test_constant_sample_undetermined(self):
         report = compare_runs([0.5] * 5, [0.1, 0.4, 0.2, 0.5, 0.3])
         assert report.shapiro_a is None

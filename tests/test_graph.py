@@ -1,4 +1,4 @@
-"""Graph construction, JSON-lines serialization and integrity reporting."""
+"""Graph construction, the graph contract and JSON-lines serialization."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from emoprop.graph import (
     WordNetGraph,
     parse_wordnet_file,
     validate_annotation,
-    validate_graph,
     write_wordnet_file,
 )
 from helpers import ANTONYMY_LL, HYPO, MEMBER, ann, chain_graph, lu, synset
@@ -48,10 +47,10 @@ class TestAnnotationValidation:
         with pytest.raises(GraphError, match="non-finite"):
             validate_annotation(values)
 
-    def test_out_of_range_passes_shape_check(self):
-        """Range is an integrity-report concern, not a shape error."""
-        arr = validate_annotation([1.5] + [0.0] * 25)
-        assert arr[0] == 1.5
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_out_of_range_rejected(self, value):
+        with pytest.raises(GraphError, match=r"value outside \[0, 1\]"):
+            validate_annotation([value] + [0.0] * 25)
 
 
 class TestGraphConstruction:
@@ -353,59 +352,56 @@ class TestParseAndWrite:
         with pytest.raises(GraphError, match=match):
             parse_wordnet_file(_write(tmp_path, text))
 
-    def test_out_of_range_annotation_parses(self, tmp_path):
-        """Range violations load fine and surface in the integrity report."""
-        values = "[" + ",".join(["1.5"] + ["0.0"] * 25) + "]"
+    @pytest.mark.parametrize("value", ["1.5", "-0.1"])
+    def test_out_of_range_annotation_reports_line(self, tmp_path, value):
+        values = "[" + ",".join([value] + ["0.0"] * 25) + "]"
         text = (
             '{"kind":"lu","id":1,"lang":"pl"}\n'
             f'{{"kind":"annotation","lu":[1,"pl"],"values":{values}}}\n'
         )
-        g = parse_wordnet_file(_write(tmp_path, text))
-        report = validate_graph(g)
-        assert report.annotation_range_violations == [lu(1)]
-        assert not report.ok
+        with pytest.raises(GraphError, match=r"^line 2: .*value outside \[0, 1\]$"):
+            parse_wordnet_file(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("dst_lang, flag", [("pl", "true"), ("en", "false")])
+    def test_interlingual_mismatch_reports_line(self, tmp_path, dst_lang, flag):
+        text = (
+            '{"kind":"synset","id":1,"lang":"pl"}\n'
+            f'{{"kind":"edge","src":["synset",1,"pl"],"dst":["synset",2,"{dst_lang}"],'
+            f'"rel":"syn","category":"SS","interlingual":{flag}}}\n'
+            f'{{"kind":"synset","id":2,"lang":"{dst_lang}"}}\n'
+        )
+        with pytest.raises(GraphError, match=r"^line 2: interlingual=.* does not match endpoint"):
+            parse_wordnet_file(_write(tmp_path, text))
 
 
-class TestValidateGraph:
-    def test_clean_fixture(self):
-        g = chain_graph(n_synsets=2, lus_per=1)
-        g.set_annotation(lu(0), ann(0))
-        report = validate_graph(g)
-        assert report.ok
-        assert report.num_violations == 0
-        assert report.nodes_by_language == {"pl": 4}
-        assert report.edges_by_category == {"SS": 1, "SL": 2}
-        assert report.annotation_count == 1
+class TestGraphContract:
+    """The builder refuses an inter-lingual flag that disagrees with the
+    endpoint languages and an annotation value outside [0, 1]."""
 
-    def test_interlingual_flag_mismatch(self):
+    def test_same_language_edge_flagged_interlingual(self):
         g = WordNetGraph()
         g.add_node(synset(0, "pl"))
         g.add_node(synset(1, "pl"))
-        g.add_edge(Edge(synset(0, "pl"), synset(1, "pl"), RelationType("syn", "SS", True)))
-        report = validate_graph(g)
-        assert len(report.interlingual_mismatches) == 1
-        assert not report.ok
+        edge = Edge(synset(0, "pl"), synset(1, "pl"), RelationType("syn", "SS", True))
+        with pytest.raises(GraphError, match=r"interlingual=True .* \(pl -> pl\)"):
+            g.add_edge(edge)
+        assert g.edges == []
 
     def test_cross_language_edge_without_flag(self):
         g = WordNetGraph()
         g.add_node(synset(0, "pl"))
         g.add_node(synset(0, "en"))
-        g.add_edge(Edge(synset(0, "pl"), synset(0, "en"), HYPO))
-        assert len(validate_graph(g).interlingual_mismatches) == 1
+        with pytest.raises(GraphError, match=r"interlingual=False .* \(pl -> en\)"):
+            g.add_edge(Edge(synset(0, "pl"), synset(0, "en"), HYPO))
+        assert g.edges == []
 
-    def test_range_violation_listed(self):
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_annotation_out_of_range(self, value):
         g = WordNetGraph()
         g.add_node(lu(1))
-        g.annotations[lu(1)] = ann(0, value=1.5)
-        report = validate_graph(g)
-        assert report.annotation_range_violations == [lu(1)]
-        assert "annotation out of [0,1]" in report.summary()
-
-    def test_summary_counts(self):
-        g = chain_graph(n_synsets=2, lus_per=2, lang="en")
-        text = validate_graph(g).summary()
-        assert "violations: 0" in text
-        assert "'en': 6" in text
+        with pytest.raises(GraphError, match=r"annotation for .*: annotation value outside"):
+            g.set_annotation(lu(1), ann(3, value=value))
+        assert g.annotations == {}
 
 
 class TestLLEdges:

@@ -118,7 +118,6 @@ class TestParseConfig:
         assert cfg.corpus.num_walks == 1000
         assert cfg.corpus.length == 20
         assert cfg.corpus.cross_lingual is True
-        assert cfg.corpus.start_kind == "all"
         assert cfg.embed.dim == 300
         assert cfg.mlp.patience == 30
         assert cfg.mlp.input_dim == 300
@@ -181,8 +180,6 @@ class TestParseConfig:
             config_from_dict({"graph": "g", "seed": 0, "propagate": {"mask_fraction": 0.0}})
         with pytest.raises(ConfigError, match="mask_fraction"):
             config_from_dict({"graph": "g", "seed": 0, "propagate": {"mask_fraction": 1.0}})
-        with pytest.raises(ConfigError, match="start_kind"):
-            config_from_dict({"graph": "g", "seed": 0, "corpus": {"start_kind": "edge"}})
         with pytest.raises(ConfigError, match="num_walks"):
             config_from_dict({"graph": "g", "seed": 0, "corpus": {"num_walks": 0}})
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -533,6 +530,17 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         assert "stages:" in result.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        """scipy serves only the significance tests, which no stage runs."""
+        code = "import sys, emoprop.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        path = [str(Path(emoprop.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     @pytest.mark.skipif(
         shutil.which("emoprop") is None, reason="no installed emoprop console script"

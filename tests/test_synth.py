@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from emoprop.graph import DIMENSION_INDEX, LEXICAL_UNIT, SYNSET, validate_graph
+from emoprop.graph import DIMENSION_INDEX, LEXICAL_UNIT, SYNSET
 from emoprop.synth import (
     CROSS_RELATION_NAME,
     INTRA_RELATION,
@@ -88,11 +88,6 @@ class TestGenerate:
             by_comm.setdefault((node.lang, node.id // n), []).append(tuple(values))
         for group in by_comm.values():
             assert len(set(group)) == 1
-
-    def test_graph_passes_validation(self):
-        g = generate(SynthConfig(label_noise=0.2, seed=9))
-        report = validate_graph(g)
-        assert report.ok, report.summary()
 
     def test_membership_edges(self):
         cfg = SynthConfig(communities=2, synsets_per_community=3, lus_per_synset=2)
