@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import DIMENSIONS, NUM_DIMENSIONS, WordNetGraph
 from .mlp import MLPConfig, binarize
-from .propagate import propagate
+from .propagate import propagate, training_set
 
 NUM_FOLDS = 10
 DEFAULT_ALPHA = 0.05
@@ -284,15 +284,15 @@ def paired_t_test(a: Iterable[float], b: Iterable[float]) -> TTestResult:
 
     t = mean(d)/(sd(d)/√n) with the n−1 sample standard deviation; the
     p-value comes from the t CDF expressed through the regularized
-    incomplete beta function.
+    incomplete beta function.  Exactly equal differences raise EvalError.
     """
     from scipy.special import betainc
 
     d = _paired_differences(a, b)
+    if (d == d[0]).all():
+        raise EvalError("zero-variance differences (samples identical up to a shift)")
     n = d.size
     sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
-        raise EvalError("zero-variance differences (samples identical up to a shift)")
     t = float(d.mean() / (sd / np.sqrt(n)))
     df = n - 1
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
@@ -454,8 +454,7 @@ def run_cv(
     """Full cross-validated propagation: each fold seeds the model with
     its train block, early-stops on its val block and scores predictions
     against the held-out test block."""
-    annotations = g.annotations
-    lu_ids = sorted(annotations)
+    lu_ids = sorted(g.annotations)
     if len(lu_ids) < 2 * n_folds:
         raise EvalError(
             f"need at least {2 * n_folds} annotated LUs for {n_folds}-fold "
@@ -464,18 +463,13 @@ def run_cv(
     folds = make_folds(lu_ids, seed, n_folds)
     reports = []
     for fold in folds:
-        seed_ann = {lu: annotations[lu] for lu in fold.train}
-        val_ann = {lu: annotations[lu] for lu in fold.val}
         result = propagate(
-            g, embeddings, mlp_cfg, seed_ann, val_ann, fold.test, retrain_per_wave
+            g, embeddings, mlp_cfg, fold.train, fold.val, fold.test, retrain_per_wave
         )
         test_sorted = sorted(fold.test)
-        raw = np.stack([result.predictions[lu].raw for lu in test_sorted])
-        pred_labels = np.stack([result.predictions[lu].labels for lu in test_sorted])
-        gold_raw = np.stack(
-            [np.asarray(annotations[lu], dtype=np.float64) for lu in test_sorted]
-        )
-        report = prf_scores(pred_labels, binarize(gold_raw))
+        raw = np.stack([result.predictions[lu] for lu in test_sorted])
+        _, gold_raw = training_set(g, embeddings, test_sorted)
+        report = prf_scores(binarize(raw), binarize(gold_raw))
         report.pooled_r, report.pooled_r2 = pooled_r_r2(raw, gold_raw)
         reports.append(report)
     return CVResult(folds=folds, reports=reports, aggregate=aggregate_reports(reports))

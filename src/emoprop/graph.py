@@ -300,8 +300,13 @@ def write_wordnet_file(g: WordNetGraph, path: str | Path) -> None:
     """Serialize a graph to the JSON-lines format read by parse_wordnet_file.
 
     Output order is deterministic: sorted nodes, then edges in insertion
-    order, then sorted annotations.
+    order, then sorted annotations.  An annotation the parser would refuse
+    raises GraphError naming its LU before the file is opened.
     """
+    annotations = {
+        node: validate_annotation(g.annotations[node], where=f"annotation for {node}")
+        for node in sorted(g.annotations)
+    }
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for node in sorted(g.nodes):
@@ -320,7 +325,6 @@ def write_wordnet_file(g: WordNetGraph, path: str | Path) -> None:
                 "interlingual": e.rel.interlingual,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        for node in sorted(g.annotations):
-            values = [float(v) for v in g.annotations[node]]
-            obj = {"kind": "annotation", "lu": [node.id, node.lang], "values": values}
+        for node, values in annotations.items():
+            obj = {"kind": "annotation", "lu": [node.id, node.lang], "values": values.tolist()}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")

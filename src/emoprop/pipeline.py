@@ -22,18 +22,12 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .corpus import (
-    CorpusConfig,
-    generate_corpus,
-    load_corpus_sequences,
-    node_token,
-    save_corpus,
-)
+from .corpus import CorpusConfig, generate_corpus, load_corpus_sequences, save_corpus
 from .embed import EmbedConfig, load_embeddings, save_embeddings, train_embeddings
 from .evaluate import NUM_FOLDS, format_metrics_table, run_cv
 from .graph import WordNetGraph, parse_wordnet_file, write_wordnet_file
 from .mlp import MLPConfig, save_model, train_mlp
-from .propagate import annotation_matrix, embedding_matrix, propagate, save_propagation
+from .propagate import propagate, require_embeddings, save_propagation, training_set
 from .synth import SynthConfig, generate
 
 log = logging.getLogger(__name__)
@@ -256,11 +250,7 @@ def _load_regressor_inputs(
     the regressor config sized to them."""
     g = parse_wordnet_file(paths["graph"])
     table = load_embeddings(paths["embeddings"])
-    missing = [node_token(lu) for lu in sorted(g.annotations) if node_token(lu) not in table]
-    if missing:
-        shown = ", ".join(missing[:10])
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
-        raise PipelineError(f"no embedding for annotated LUs: {shown}{more}")
+    require_embeddings(table, sorted(g.annotations))
     return g, table, replace(cfg.mlp, input_dim=table.dim)
 
 
@@ -289,10 +279,7 @@ def _stage_embed(cfg: PipelineConfig, paths: dict, key: dict) -> str:
 def _stage_train(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     g, table, mcfg = _load_regressor_inputs(cfg, paths)
     val_lus, train_lus = _annotated_split(g, "train", key["split_seed"], (0.1,))
-    train, val = (
-        (embedding_matrix(table, lus), annotation_matrix(g.annotations, lus))
-        for lus in (train_lus, val_lus)
-    )
+    train, val = (training_set(g, table, lus) for lus in (train_lus, val_lus))
     model, report = train_mlp(mcfg, train, val)
     save_model(model, paths["model"])
     return (
@@ -305,9 +292,8 @@ def _stage_propagate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     g, table, mcfg = _load_regressor_inputs(cfg, paths)
     fractions = (cfg.propagate.mask_fraction, 0.1)
     targets, val_lus, seed_lus = _annotated_split(g, "propagate", key["mask_seed"], fractions)
-    seed, val = ({lu: g.annotations[lu] for lu in lus} for lus in (seed_lus, val_lus))
     retrain = cfg.propagate.retrain_per_wave
-    result = propagate(g, table, mcfg, seed, val, targets, retrain_per_wave=retrain)
+    result = propagate(g, table, mcfg, seed_lus, val_lus, targets, retrain_per_wave=retrain)
     save_propagation(result, paths["propagation"])
     return (
         f"{len(result.predictions)} LUs in {len(result.plan.waves)} waves "

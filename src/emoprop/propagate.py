@@ -1,13 +1,16 @@
 """Annotation propagation over the lexical graph.
 
-A regressor is trained on the annotated seed (inputs are LU embedding
-vectors) and applied outward in breadth-first waves: wave k holds the
-target LUs whose shortest path to the nearest seed LU is k hops, with
-synsets acting as transit nodes.  Because the default mode keeps the
-model frozen, wave order cannot affect predictions; an optional mode
-folds each wave's raw predictions into the training set and retrains
-before the next wave.  Targets with no path to any seed are predicted
-with the seed-trained model and flagged with wave -1.
+The seed and validation sets are annotated lexical units of the graph,
+and their annotations are read from it.  A regressor is trained on the
+seed (inputs are LU embedding vectors) and applied outward in
+breadth-first waves: wave k holds the target LUs whose shortest path to
+the nearest seed LU is k hops, with synsets acting as transit nodes.
+Because the default mode keeps the model frozen, wave order cannot
+affect predictions; an optional mode folds each wave's raw predictions
+into the training set and retrains before the next wave.  Targets with
+no path to any seed are predicted with the seed-trained model and
+flagged with wave -1.  The result holds one raw row per target; the
+labels and wave numbers are derived when it is written.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import node_token
 from .graph import LEXICAL_UNIT, NUM_DIMENSIONS, GraphError, NodeId, WordNetGraph, _node_ref
-from .mlp import MLPConfig, MLPModel, TrainReport, binarize, predict, train_mlp
+from .mlp import MLPConfig, TrainReport, binarize, predict, train_mlp
 
 
 class PropagationError(ValueError):
@@ -34,9 +37,10 @@ class Wave(NamedTuple):
 
 
 class Prediction(NamedTuple):
+    """One record of a propagation file."""
+
     wave: int
     raw: np.ndarray
-    labels: np.ndarray
 
 
 @dataclass
@@ -44,16 +48,14 @@ class PropagationPlan:
     waves: list[Wave]
     unreachable: tuple[NodeId, ...]
 
-    def reachable(self) -> list[NodeId]:
-        return [lu for wave in self.waves for lu in wave.lus]
-
 
 @dataclass
 class PropagationResult:
-    predictions: dict[NodeId, Prediction]
+    """One raw prediction row per target LU."""
+
+    predictions: dict[NodeId, np.ndarray]
     plan: PropagationPlan
     report: TrainReport
-    model: MLPModel
     wave_reports: list[TrainReport] = field(default_factory=list)
 
 
@@ -107,6 +109,15 @@ def build_plan(
     )
 
 
+def require_embeddings(embeddings, lus: Iterable[NodeId]) -> None:
+    """Raise PropagationError naming the first ten LU tokens that have no
+    embedding."""
+    missing = [node_token(lu) for lu in lus if node_token(lu) not in embeddings]
+    if missing:
+        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
+        raise PropagationError("missing embeddings for: " + ", ".join(missing[:10]) + more)
+
+
 def embedding_matrix(embeddings, lus: Iterable[NodeId]) -> np.ndarray:
     lus = list(lus)
     if not lus:
@@ -114,28 +125,27 @@ def embedding_matrix(embeddings, lus: Iterable[NodeId]) -> np.ndarray:
     return np.stack([embeddings.vector_of(node_token(lu)) for lu in lus])
 
 
-def annotation_matrix(annotations: Mapping[NodeId, np.ndarray], lus) -> np.ndarray:
-    rows = []
+def training_set(g: WordNetGraph, embeddings, lus) -> tuple[np.ndarray, np.ndarray]:
+    """The embedding rows and the graph's annotation rows of `lus`; an LU
+    without an annotation raises PropagationError naming it."""
     for lu in lus:
-        vec = np.asarray(annotations[lu], dtype=np.float64)
-        if vec.shape != (NUM_DIMENSIONS,):
-            raise PropagationError(
-                f"annotation for {lu} has shape {vec.shape}, expected ({NUM_DIMENSIONS},)"
-            )
-        rows.append(vec)
-    return np.stack(rows) if rows else np.zeros((0, NUM_DIMENSIONS))
+        if lu not in g.annotations:
+            raise PropagationError(f"{lu} has no annotation")
+    y = np.stack([g.annotations[lu] for lu in lus]) if lus else np.zeros((0, NUM_DIMENSIONS))
+    return embedding_matrix(embeddings, lus), y
 
 
 def propagate(
     g: WordNetGraph,
     embeddings,
     cfg: MLPConfig,
-    seed: Mapping[NodeId, np.ndarray],
-    val: Mapping[NodeId, np.ndarray],
+    seed: Iterable[NodeId],
+    val: Iterable[NodeId],
     targets: Iterable[NodeId],
     retrain_per_wave: bool = False,
 ) -> PropagationResult:
-    """Train on the seed, then predict targets wave by wave.
+    """Train on the seed LUs' annotations, validate on the val LUs', then
+    predict the targets wave by wave.
 
     With retrain_per_wave off (the default) every wave is predicted by
     the same frozen model, so the result is identical to one batch
@@ -143,73 +153,55 @@ def propagate(
     appended to the training inputs and the model is retrained from
     scratch before the next wave; the validation set is never extended.
     """
-    if not seed:
+    seed_ids = sorted(set(seed))
+    if not seed_ids:
         raise PropagationError("seed annotations are empty")
-    seed_ids = sorted(seed)
-    val_ids = sorted(val)
+    val_ids = sorted(set(val))
     target_ids = sorted(set(targets))
-
-    missing = [
-        node_token(lu)
-        for lu in (*seed_ids, *val_ids, *target_ids)
-        if node_token(lu) not in embeddings
-    ]
-    if missing:
-        raise PropagationError("missing embeddings for: " + ", ".join(missing))
-
+    require_embeddings(embeddings, (*seed_ids, *val_ids, *target_ids))
     plan = build_plan(g, seed_ids, target_ids)
 
-    x_train = embedding_matrix(embeddings, seed_ids)
-    y_train = annotation_matrix(seed, seed_ids)
-    x_val = embedding_matrix(embeddings, val_ids)
-    y_val = annotation_matrix(val, val_ids)
-
-    model, report = train_mlp(cfg, (x_train, y_train), (x_val, y_val))
+    x_train, y_train = training_set(g, embeddings, seed_ids)
+    val_set = training_set(g, embeddings, val_ids)
+    model, report = train_mlp(cfg, (x_train, y_train), val_set)
     initial_model = model
     wave_reports: list[TrainReport] = []
 
-    predictions: dict[NodeId, Prediction] = {}
+    predictions: dict[NodeId, np.ndarray] = {}
     for wi, wave in enumerate(plan.waves):
         x_wave = embedding_matrix(embeddings, wave.lus)
-        raw = np.atleast_2d(predict(model, x_wave))
-        labels = binarize(raw)
-        for i, lu in enumerate(wave.lus):
-            predictions[lu] = Prediction(wave.distance, raw[i].copy(), labels[i].copy())
+        raw = predict(model, x_wave)
+        predictions.update(zip(wave.lus, raw))
         if retrain_per_wave and wi < len(plan.waves) - 1:
             x_train = np.concatenate([x_train, x_wave])
             y_train = np.concatenate([y_train, raw])
-            model, wave_report = train_mlp(cfg, (x_train, y_train), (x_val, y_val))
+            model, wave_report = train_mlp(cfg, (x_train, y_train), val_set)
             wave_reports.append(wave_report)
 
     if plan.unreachable:
-        x_un = embedding_matrix(embeddings, plan.unreachable)
-        raw = np.atleast_2d(predict(initial_model, x_un))
-        labels = binarize(raw)
-        for i, lu in enumerate(plan.unreachable):
-            predictions[lu] = Prediction(-1, raw[i].copy(), labels[i].copy())
+        raw = predict(initial_model, embedding_matrix(embeddings, plan.unreachable))
+        predictions.update(zip(plan.unreachable, raw))
 
     return PropagationResult(
-        predictions=predictions,
-        plan=plan,
-        report=report,
-        model=model,
-        wave_reports=wave_reports,
+        predictions=predictions, plan=plan, report=report, wave_reports=wave_reports
     )
 
 
 def save_propagation(result: PropagationResult, path) -> None:
-    """One JSON object per predicted LU, waves first, unreachable last."""
-    order = [*result.plan.reachable(), *result.plan.unreachable]
+    """One JSON object per predicted LU, waves first, unreachable (wave
+    -1) last, with its raw row and the labels binarize(raw)."""
+    plan = result.plan
     with open(path, "w", encoding="utf-8") as fh:
-        for lu in order:
-            pred = result.predictions[lu]
-            record = {
-                "lu": [lu.id, lu.lang],
-                "wave": pred.wave,
-                "raw": [float(v) for v in pred.raw],
-                "labels": [bool(b) for b in pred.labels],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for wave in (*plan.waves, Wave(-1, plan.unreachable)):
+            for lu in wave.lus:
+                raw = result.predictions[lu]
+                record = {
+                    "lu": [lu.id, lu.lang],
+                    "wave": wave.distance,
+                    "raw": [float(v) for v in raw],
+                    "labels": [bool(b) for b in binarize(raw)],
+                }
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _prediction(record: object) -> tuple[NodeId, Prediction]:
@@ -233,12 +225,15 @@ def _prediction(record: object) -> tuple[NodeId, Prediction]:
         raise PropagationError(f"raw values must be numbers, got {raw!r}")
     if not all(isinstance(b, bool) for b in labels):
         raise PropagationError(f"labels must be booleans, got {labels!r}")
-    return lu, Prediction(wave, np.asarray(raw, dtype=np.float64), np.asarray(labels))
+    if labels != [v >= 0.5 for v in raw]:
+        raise PropagationError("labels disagree with raw >= 0.5")
+    return lu, Prediction(wave, np.asarray(raw, dtype=np.float64))
 
 
 def load_propagation(path) -> dict[NodeId, Prediction]:
-    """Read a `save_propagation` file; a malformed line, or a second line
-    for the same LU, raises PropagationError with its line number."""
+    """Read a `save_propagation` file; a malformed line, labels that are
+    not binarize(raw), or a second line for the same LU, raise
+    PropagationError with its line number."""
     predictions: dict[NodeId, Prediction] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -214,6 +214,12 @@ class TestPairedTTest:
         with pytest.raises(EvalError, match="zero-variance differences"):
             paired_t_test([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
 
+    def test_inexact_constant_difference_rejected(self):
+        """np.std of ten copies of 1/3 is 5.9e-17, not 0; constancy is
+        detected on the differences themselves."""
+        with pytest.raises(EvalError, match="zero-variance differences"):
+            paired_t_test(np.full(10, 1 / 3), np.zeros(10))
+
     def test_shift_invariance(self):
         a = [0.3, 0.6, 0.2, 0.9, 0.4]
         b = [0.1, 0.5, 0.4, 0.6, 0.2]
@@ -248,6 +254,15 @@ class TestCompareRuns:
         text = format_comparison(report)
         assert "paired t-test: constant difference 0.5000, no statistic" in text
         assert "identical" not in text
+
+    def test_inexact_constant_shift_has_no_statistic(self):
+        report = compare_runs(np.full(10, 1 / 3), np.zeros(10))
+        assert report.identical is False
+        assert report.ttest is None
+        assert report.significant is None
+        text = format_comparison(report)
+        assert "paired t-test: constant difference 0.3333, no statistic" in text
+        assert "significant" not in text
 
     def test_unpaired_samples_rejected(self):
         with pytest.raises(EvalError, match="differ in shape"):

@@ -362,6 +362,18 @@ class TestParseAndWrite:
         with pytest.raises(GraphError, match=r"^line 2: .*value outside \[0, 1\]$"):
             parse_wordnet_file(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_write_refuses_out_of_range_annotation(self, tmp_path, value):
+        """An annotation stored past set_annotation is refused before the
+        file is opened, so no file the parser would refuse is written."""
+        g = self._fixture_graph()
+        g.annotations[lu(5, "en")] = ann(3, value=value)
+        path = tmp_path / "graph.jsonl"
+        match = r"^annotation for NodeId\(kind='lu', id=5, lang='en'\): .*value outside"
+        with pytest.raises(GraphError, match=match):
+            write_wordnet_file(g, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("dst_lang, flag", [("pl", "true"), ("en", "false")])
     def test_interlingual_mismatch_reports_line(self, tmp_path, dst_lang, flag):
         text = (

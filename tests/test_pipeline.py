@@ -20,6 +20,7 @@ from emoprop.corpus import CorpusConfig, node_token
 from emoprop.embed import EmbedConfig
 from emoprop.graph import NUM_DIMENSIONS, write_wordnet_file
 from emoprop.mlp import MLPConfig
+from emoprop.propagate import PropagationError
 from emoprop.pipeline import (
     ConfigError,
     EvalConfig,
@@ -409,6 +410,15 @@ class TestSplitGuards:
         cfg = annotated_inputs(tmp_path, 20, mask_fraction=0.85)
         with pytest.raises(PipelineError, match="20 annotated LUs gives 2 and 1$"):
             run("propagate", cfg, echo=lambda _: None)
+
+    def test_annotated_lu_without_embedding_named(self, tmp_path):
+        cfg = annotated_inputs(tmp_path, 15)
+        path = tmp_path / "embeddings.txt"
+        lines = path.read_text().splitlines()
+        kept = [line for line in lines[1:] if not line.startswith("L#pl#3 ")]
+        path.write_text(f"{len(kept)} 4\n" + "\n".join(kept) + "\n")
+        with pytest.raises(PropagationError, match="^missing embeddings for: L#pl#3$"):
+            run("train", cfg, echo=lambda _: None)
 
     @pytest.mark.parametrize("stage", ["train", "propagate"])
     def test_smallest_viable_split_runs(self, tmp_path, stage):

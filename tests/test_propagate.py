@@ -1,6 +1,7 @@
 """Annotation propagation: BFS wave planning and wave-by-wave prediction."""
 
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -11,6 +12,7 @@ from emoprop.graph import Edge, NodeId, WordNetGraph, LEXICAL_UNIT
 from emoprop.mlp import MLPConfig, predict, train_mlp
 from emoprop.propagate import (
     PropagationError,
+    Wave,
     build_plan,
     load_propagation,
     propagate,
@@ -40,7 +42,7 @@ class TestBuildPlan:
         g.add_node(lu(99))
         plan = build_plan(g, [lu(0)], [lu(1), lu(99)])
         assert plan.unreachable == (lu(99),)
-        assert plan.reachable() == [lu(1)]
+        assert plan.waves == [Wave(2, (lu(1),))]
 
     def test_waves_skip_empty_distances(self):
         g = chain_graph(n_synsets=3, lus_per=2)
@@ -98,96 +100,119 @@ class TestBuildPlan:
 
 
 def _chain_fixture():
-    """Four synsets, three LUs each, embeddings and random annotations."""
+    """Four synsets, three LUs each, embeddings and random annotations on
+    the graph; the seed and validation LUs, then the targets."""
     g = chain_graph(n_synsets=4, lus_per=3)
     lus = [lu(i) for i in range(12)]
     rng = np.random.default_rng(8)
     table = ConstantTable({node_token(n): rng.normal(size=8) for n in lus}, 8)
-    annotations = {n: rng.random(26) for n in lus}
-    seed_ann = {n: annotations[n] for n in lus[:4]}
-    val_ann = {n: annotations[n] for n in lus[4:6]}
-    targets = lus[6:]
+    for n in lus:
+        g.set_annotation(n, rng.random(26))
     cfg = MLPConfig(variant="base", input_dim=8, batch_size=8, max_epochs=30, patience=10, seed=1)
-    return g, table, cfg, seed_ann, val_ann, targets
+    return g, table, cfg, lus[:4], lus[4:6], lus[6:]
+
+
+def _initial_model(g, table, cfg, seed_lus, val_lus):
+    """The model propagate trains on the seed before its first wave."""
+    x_train = np.stack([table.vector_of(node_token(n)) for n in seed_lus])
+    y_train = np.stack([g.annotations[n] for n in seed_lus])
+    x_val = np.stack([table.vector_of(node_token(n)) for n in val_lus])
+    y_val = np.stack([g.annotations[n] for n in val_lus])
+    model, _ = train_mlp(cfg, (x_train, y_train), (x_val, y_val))
+    return model
 
 
 class TestPropagate:
     def test_missing_embedding_named(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
         del table.vectors[node_token(lu(7))]
         with pytest.raises(PropagationError, match="missing embeddings for: .*L#pl#7"):
-            propagate(g, table, cfg, seed_ann, val_ann, targets)
+            propagate(g, table, cfg, seed_lus, val_lus, targets)
 
     def test_empty_seed(self):
-        g, table, cfg, _, val_ann, targets = _chain_fixture()
+        g, table, cfg, _, val_lus, targets = _chain_fixture()
         with pytest.raises(PropagationError, match="seed annotations are empty"):
-            propagate(g, table, cfg, {}, val_ann, targets)
+            propagate(g, table, cfg, [], val_lus, targets)
+
+    @pytest.mark.parametrize("role", ["seed", "val"])
+    def test_unannotated_lu_named(self, role):
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        unannotated = {"seed": seed_lus, "val": val_lus}[role][1]
+        del g.annotations[unannotated]
+        with pytest.raises(PropagationError, match=re.escape(f"{unannotated} has no annotation")):
+            propagate(g, table, cfg, seed_lus, val_lus, targets)
+
+    def test_missing_embeddings_counted_past_ten(self):
+        g, table, cfg, seed_lus, val_lus, _ = _chain_fixture()
+        extra = [lu(i) for i in range(100, 112)]
+        for n in extra:
+            g.add_node(n)
+        shown = ", ".join(node_token(n) for n in extra[:10])
+        with pytest.raises(PropagationError) as err:
+            propagate(g, table, cfg, seed_lus, val_lus, extra)
+        assert str(err.value) == f"missing embeddings for: {shown} (+2 more)"
 
     def test_empty_targets(self):
-        g, table, cfg, seed_ann, val_ann, _ = _chain_fixture()
-        result = propagate(g, table, cfg, seed_ann, val_ann, [])
+        g, table, cfg, seed_lus, val_lus, _ = _chain_fixture()
+        result = propagate(g, table, cfg, seed_lus, val_lus, [])
         assert result.predictions == {}
         assert result.plan.waves == []
         assert result.report.epochs_run >= 1
 
     def test_frozen_equals_batch_prediction(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
-        result = propagate(g, table, cfg, seed_ann, val_ann, targets)
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        result = propagate(g, table, cfg, seed_lus, val_lus, targets)
         assert set(result.predictions) == set(targets)
         ordered = sorted(targets)
-        batch = predict(result.model, np.stack([table.vector_of(node_token(t)) for t in ordered]))
+        model = _initial_model(g, table, cfg, seed_lus, val_lus)
+        batch = predict(model, np.stack([table.vector_of(node_token(t)) for t in ordered]))
         for row, t in zip(batch, ordered):
-            np.testing.assert_allclose(result.predictions[t].raw, row, atol=1e-10)
+            np.testing.assert_allclose(result.predictions[t], row, atol=1e-10)
 
     def test_wave_structure(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
-        result = propagate(g, table, cfg, seed_ann, val_ann, targets)
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        result = propagate(g, table, cfg, seed_lus, val_lus, targets)
         assert [(w.distance, len(w.lus)) for w in result.plan.waves] == [(3, 3), (4, 3)]
-        for wave in result.plan.waves:
-            for t in wave.lus:
-                assert result.predictions[t].wave == wave.distance
+        assert {t for wave in result.plan.waves for t in wave.lus} == set(result.predictions)
         assert result.wave_reports == []
 
     def test_retrain_diverges_from_frozen(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
-        frozen = propagate(g, table, cfg, seed_ann, val_ann, targets)
-        retrained = propagate(g, table, cfg, seed_ann, val_ann, targets, retrain_per_wave=True)
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        frozen = propagate(g, table, cfg, seed_lus, val_lus, targets)
+        retrained = propagate(g, table, cfg, seed_lus, val_lus, targets, retrain_per_wave=True)
         assert len(retrained.wave_reports) == len(frozen.plan.waves) - 1
         last = frozen.plan.waves[-1].lus[0]
-        diff = np.abs(frozen.predictions[last].raw - retrained.predictions[last].raw).max()
+        diff = np.abs(frozen.predictions[last] - retrained.predictions[last]).max()
         assert diff > 1e-9
         first = frozen.plan.waves[0].lus[0]
         np.testing.assert_array_equal(
-            frozen.predictions[first].raw, retrained.predictions[first].raw
+            frozen.predictions[first], retrained.predictions[first]
         )
 
     def test_unreachable_uses_initial_model(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
         g.add_node(lu(99))
         rng = np.random.default_rng(123)
         table.vectors[node_token(lu(99))] = rng.normal(size=8)
         result = propagate(
-            g, table, cfg, seed_ann, val_ann, targets + [lu(99)], retrain_per_wave=True
+            g, table, cfg, seed_lus, val_lus, targets + [lu(99)], retrain_per_wave=True
         )
-        pred = result.predictions[lu(99)]
-        assert pred.wave == -1
+        assert result.plan.unreachable == (lu(99),)
 
-        seed_ids = sorted(seed_ann)
-        val_ids = sorted(val_ann)
-        x_train = np.stack([table.vector_of(node_token(n)) for n in seed_ids])
-        y_train = np.stack([seed_ann[n] for n in seed_ids])
-        x_val = np.stack([table.vector_of(node_token(n)) for n in val_ids])
-        y_val = np.stack([val_ann[n] for n in val_ids])
-        initial, _ = train_mlp(cfg, (x_train, y_train), (x_val, y_val))
+        initial = _initial_model(g, table, cfg, seed_lus, val_lus)
         expected = predict(initial, np.stack([table.vector_of(node_token(lu(99)))]))
-        np.testing.assert_array_equal(pred.raw, expected[0])
+        np.testing.assert_array_equal(result.predictions[lu(99)], expected[0])
 
-    def test_labels_are_binarized_raw(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
-        result = propagate(g, table, cfg, seed_ann, val_ann, targets)
-        for pred in result.predictions.values():
-            assert pred.labels.dtype == bool
-            np.testing.assert_array_equal(pred.labels, pred.raw >= 0.5)
+    def test_labels_are_binarized_raw(self, tmp_path):
+        """The saved labels are derived from the raw rows when written."""
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        result = propagate(g, table, cfg, seed_lus, val_lus, targets)
+        path = tmp_path / "prop.jsonl"
+        save_propagation(result, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(records) == len(result.predictions)
+        for record in records:
+            assert record["labels"] == [v >= 0.5 for v in record["raw"]]
 
 
 def _record(**changes) -> dict:
@@ -199,10 +224,10 @@ def _record(**changes) -> dict:
 
 class TestPropagationIO:
     def _result(self):
-        g, table, cfg, seed_ann, val_ann, targets = _chain_fixture()
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
         g.add_node(lu(99))
         table.vectors[node_token(lu(99))] = np.random.default_rng(123).normal(size=8)
-        return propagate(g, table, cfg, seed_ann, val_ann, targets + [lu(99)])
+        return propagate(g, table, cfg, seed_lus, val_lus, targets + [lu(99)])
 
     def test_round_trip(self, tmp_path):
         result = self._result()
@@ -210,11 +235,11 @@ class TestPropagationIO:
         save_propagation(result, path)
         loaded = load_propagation(path)
         assert set(loaded) == set(result.predictions)
-        for node, pred in result.predictions.items():
+        waves = {t: w.distance for w in result.plan.waves for t in w.lus}
+        for node, raw in result.predictions.items():
             got = loaded[node]
-            assert got.wave == pred.wave
-            np.testing.assert_array_equal(got.raw, pred.raw)
-            np.testing.assert_array_equal(got.labels, pred.labels)
+            assert got.wave == waves.get(node, -1)
+            np.testing.assert_array_equal(got.raw, raw)
 
     def test_unreachable_written_last(self, tmp_path):
         result = self._result()
@@ -252,9 +277,10 @@ class TestPropagationIO:
             (_record(wave="1"), "wave must be an integer"),
             (_record(raw=["0.5"] * 26), "raw values must be numbers"),
             (_record(labels=["abc"] * 26), "labels must be booleans"),
+            (_record(raw=[0.9] * 26), "labels disagree with raw >= 0.5"),
         ],
         ids=["array", "no-lu", "no-wave", "short-lu", "string-id", "string-wave", "string-raw",
-             "string-labels"],
+             "string-labels", "labels-disagree"],
     )
     def test_malformed_record(self, tmp_path, bad, message):
         path = tmp_path / "prop.jsonl"
