@@ -167,11 +167,15 @@ class WordNetGraph:
         self._adjacency = None
 
     def set_annotation(self, node: NodeId, values: Iterable[float]) -> None:
+        self.annotations[node] = self._checked_annotation(node, values)
+
+    def _checked_annotation(self, node: NodeId, values: Iterable[float]) -> np.ndarray:
+        """`values` validated as the annotation of `node`, an LU of the graph."""
         if node not in self.nodes:
             raise GraphError(f"unknown endpoint {node}")
         if node.kind != LEXICAL_UNIT:
             raise GraphError(f"annotation target {node} is not a lexical unit")
-        self.annotations[node] = validate_annotation(values, where=f"annotation for {node}")
+        return validate_annotation(values, where=f"annotation for {node}")
 
     def _build_adjacency(self) -> dict[NodeId, list[tuple[Edge, NodeId]]]:
         adj: dict[NodeId, list[tuple[Edge, NodeId]]] = {n: [] for n in self.nodes}
@@ -300,12 +304,12 @@ def write_wordnet_file(g: WordNetGraph, path: str | Path) -> None:
     """Serialize a graph to the JSON-lines format read by parse_wordnet_file.
 
     Output order is deterministic: sorted nodes, then edges in insertion
-    order, then sorted annotations.  An annotation the parser would refuse
-    raises GraphError naming its LU before the file is opened.
+    order, then sorted annotations.  An annotation the parser would refuse,
+    including one keyed by a node that is not an LU of the graph, raises
+    GraphError naming its node before the file is opened.
     """
     annotations = {
-        node: validate_annotation(g.annotations[node], where=f"annotation for {node}")
-        for node in sorted(g.annotations)
+        node: g._checked_annotation(node, g.annotations[node]) for node in sorted(g.annotations)
     }
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:

@@ -20,12 +20,18 @@ any cast.
 
 Memory layout: a model's parameters live in one flat buffer, laid out
 w0, b0, w1, b1, ... as in a checkpoint, and each weight and bias is a
-reshaped view into it.  `train_mlp` keeps gradients, both Adam moments and
-the best-epoch copy in four more buffers of the same layout, backprop
-writes the gradients in place, and Adam walks all five in blocks of
-`BLOCK_SIZE` elements with one block-sized scratch.  Every element sees
-the same float32 operations in the same order as a per-array update, so
-the bits do not depend on the layout or the block size.
+reshaped view into it.  `train_mlp` keeps both Adam moments and the
+best-epoch copy in three more buffers of the same layout, four in all, and
+no gradient buffer: backprop computes each layer's gradients in slabs of
+about `SLAB_SIZE` elements into one scratch, and Adam applies each slab at
+once to the same region of the parameters and moments, in blocks of
+`BLOCK_SIZE` elements through one block-sized scratch.  A slab of a
+weight gradient holds whole rows, at least two, so it runs as a matrix
+product with the same sums per element as the full product, and Adam is
+elementwise: every element sees the same float32 operations in the same
+order as a per-array update after a full backward pass, and the bits do
+not depend on the layout, the slab size or the block size.  The forward
+pass applies ReLU and dropout in place on each pre-activation.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ TRAIN_DTYPE = np.float32
 # elements per block of the flat buffers: a block of parameters, gradients,
 # both moments and the scratch (640 KB in float32) stays in cache
 BLOCK_SIZE = 1 << 15
+# elements per weight-gradient slab that backprop hands to Adam at once:
+# eight blocks (1 MB in float32), as one-block slabs split the deep net's
+# largest weight gradient into 128 small products that ran slower
+SLAB_SIZE = 8 * BLOCK_SIZE
 
 CHECKPOINT_MAGIC = b"EMLPCKPT"
 CHECKPOINT_VERSION = 1
@@ -199,30 +209,29 @@ def _check_input(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return x.astype(dtype, copy=False)
 
 
-def _forward_cached(
+def _forward(
     model: MLPModel, x: np.ndarray, masks: list[np.ndarray | None] | None
-) -> tuple[np.ndarray, dict]:
-    """Forward pass keeping pre-activations and activations for backprop.
+) -> list[np.ndarray]:
+    """Every layer's activations, input first and output last, for backprop.
 
+    Each hidden layer's ReLU and dropout run in place on its
+    pre-activation, so an activation is positive exactly where the
+    pre-activation is positive and the mask (0 or 1/(1-p) >= 1) keeps it.
     masks[i] is the inverted-dropout mask applied after hidden layer i's
     ReLU (None for no dropout); passing fixed masks keeps the whole pass
     deterministic for finite-difference checks.
     """
     n_layers = len(model.weights)
     activations = [x]
-    pre_acts = []
-    h = x
-    for li in range(n_layers):
-        z = h @ model.weights[li] + model.biases[li]
-        pre_acts.append(z)
+    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = activations[-1] @ w
+        h += b
         if li < n_layers - 1:
-            h = np.maximum(z, 0.0)
+            np.maximum(h, 0.0, out=h)
             if masks is not None and masks[li] is not None:
-                h = h * masks[li]
-        else:
-            h = z
+                h *= masks[li]
         activations.append(h)
-    return h, {"activations": activations, "pre_acts": pre_acts, "masks": masks}
+    return activations
 
 
 def make_dropout_masks(
@@ -254,7 +263,7 @@ def make_dropout_masks(
 
 def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Eval-mode forward pass (no dropout) of one sample or a batch."""
-    out, _ = _forward_cached(model, _check_input(model, x), None)
+    out = _forward(model, _check_input(model, x), None)[-1]
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
@@ -270,47 +279,82 @@ def fvu_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 def fvu_loss_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over dimensions of SS_res/SS_tot, with an MSE fallback for
-    batch-constant target dimensions; gradient is w.r.t. pred."""
-    pred = np.asarray(pred, dtype=np.float64)
+    batch-constant target dimensions; gradient is w.r.t. pred, in float64."""
+    pred = np.asarray(pred)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 2:
         raise MLPError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     n, dims = pred.shape
     if n < 2:
         raise MLPError("FVU needs a batch of at least 2 samples")
-    resid = pred - target
-    ss_res = np.sum(resid**2, axis=0)
-    centered = target - target.mean(axis=0)
-    ss_tot = np.sum(centered**2, axis=0)
-    constant = ss_tot / n < VARIANCE_EPS
+    resid = np.subtract(pred, target, dtype=np.float64)
+    ss_res = np.add.reduce(np.square(resid), axis=0)
+    ss_tot = np.add.reduce(np.square(target - target.mean(axis=0)), axis=0)
+    # a constant dimension divides by n (MSE), any other by SS_tot
+    denom = np.where(ss_tot / n < VARIANCE_EPS, n, ss_tot)
+    loss = float((ss_res / denom).mean())
+    # scaled twice, as (2/dims) * resid * (1/denom); one division by
+    # denom * dims / 2 would round differently
+    resid *= 2.0 / dims
+    resid *= 1.0 / denom
+    return loss, resid
 
-    per_dim = np.where(constant, ss_res / n, ss_res / np.where(constant, 1.0, ss_tot))
-    loss = float(per_dim.mean())
-    scale = np.where(constant, 1.0 / n, 1.0 / np.where(constant, 1.0, ss_tot))
-    grad = (2.0 / dims) * resid * scale
-    return loss, grad
+
+def _slab_rows(fan_in: int, fan_out: int) -> list[tuple[int, int]]:
+    """Row ranges of a fan_in x fan_out weight's gradient slabs, about
+    SLAB_SIZE elements each.  A one-row or one-column product runs as a
+    matrix-vector product, whose sums round differently from the full
+    matrix product's, so a slab has at least two rows (a trailing single
+    row joins the slab before it) and a one-column weight is one slab."""
+    rows = fan_in if fan_out == 1 else max(2, SLAB_SIZE // fan_out)
+    edges = [*range(0, fan_in, rows), fan_in]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _backward(
-    model: MLPModel, cache: dict, d_out: np.ndarray, out: tuple[list, list] | None = None
-) -> tuple[list, list]:
-    """Gradients of every weight and bias; with `out`, a pair of weight and
-    bias gradient lists, each gradient is written into its array there."""
-    activations = cache["activations"]
-    pre_acts = cache["pre_acts"]
-    masks = cache["masks"]
-    n_layers = len(model.weights)
-    d_weights, d_biases = out if out is not None else ([None] * n_layers, [None] * n_layers)
+    model: MLPModel,
+    activations: list[np.ndarray],
+    masks: list[np.ndarray | None] | None,
+    d_out: np.ndarray,
+    consume,
+) -> None:
+    """Backprop `d_out` from the last layer down, handing the gradients to
+    `consume` slab by slab (see `loss_and_grads`).
+
+    A layer's input delta is computed first, from its weights before
+    `consume` sees any of its slabs; then its weight gradient, a slab of
+    rows at a time, with the bias gradient after the last row, since the
+    bias follows its weight in the flat layout.  Every slab is written
+    into one scratch.
+    """
+    weights = model.weights
+    starts = [0]
+    for w in weights:
+        starts.append(starts[-1] + w.size + w.shape[1])
+    plans = [_slab_rows(*w.shape) for w in weights]
+    scratch = np.empty(
+        max((e - r + 1) * w.shape[1] for w, plan in zip(weights, plans) for r, e in plan),
+        dtype=d_out.dtype,
+    )
     delta = d_out
-    for li in range(n_layers - 1, -1, -1):
-        d_weights[li] = np.matmul(activations[li].T, delta, out=d_weights[li])
-        d_biases[li] = delta.sum(axis=0, out=d_biases[li])
+    for li in range(len(weights) - 1, -1, -1):
+        a, (fan_in, fan_out) = activations[li], weights[li].shape
+        d_in = None
         if li > 0:
-            da = delta @ model.weights[li].T
+            d_in = delta @ weights[li].T
             if masks is not None and masks[li - 1] is not None:
-                da = da * masks[li - 1]
-            delta = da * (pre_acts[li - 1] > 0.0)
-    return d_weights, d_biases
+                d_in *= masks[li - 1]
+            d_in *= a > 0.0
+        for r, e in plans[li]:
+            size = (e - r) * fan_out
+            np.matmul(a[:, r:e].T, delta, out=scratch[:size].reshape(e - r, fan_out))
+            if e == fan_in:
+                delta.sum(axis=0, out=scratch[size : size + fan_out])
+                size += fan_out
+            consume(starts[li] + r * fan_out, scratch[:size])
+        delta = d_in
 
 
 def loss_and_grads(
@@ -318,16 +362,32 @@ def loss_and_grads(
     x: np.ndarray,
     y: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
-    out: tuple[list, list] | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    consume=None,
+) -> tuple[float, list[np.ndarray] | None, list[np.ndarray] | None]:
     """FVU loss plus gradients for every weight matrix and bias vector; the
-    loss is float64, the gradients take the output's dtype.  With `out`, a
-    pair of weight and bias gradient lists, the gradients are written into
-    those arrays and returned."""
-    pred, cache = _forward_cached(model, x, masks)
-    loss, d_out = fvu_loss_and_grad(pred, y)
-    d_w, d_b = _backward(model, cache, d_out.astype(pred.dtype, copy=False), out)
-    return loss, d_w, d_b
+    loss is float64, the gradients take the output's dtype.
+
+    With `consume`, backprop calls `consume(start, slab)` as soon as it has
+    computed each slab: `slab` is a flat run of gradients beginning at
+    element `start` of the layout w0, b0, w1, b1, ..., held in a scratch
+    that the next slab overwrites.  A layer's slabs arrive after its input
+    delta is computed, so `consume` may update that layer's parameters in
+    place, and the returned gradient lists are None.  Without it, the
+    slabs are gathered into one flat buffer and returned as weight and
+    bias views."""
+    activations = _forward(model, x, masks)
+    loss, d_out = fvu_loss_and_grad(activations[-1], y)
+    d_out = d_out.astype(activations[-1].dtype, copy=False)
+    if consume is not None:
+        _backward(model, activations, masks, d_out, consume)
+        return loss, None, None
+    grads = np.empty(model.config.num_parameters(), dtype=d_out.dtype)
+
+    def gather(start: int, slab: np.ndarray) -> None:
+        grads[start : start + slab.size] = slab
+
+    _backward(model, activations, masks, d_out, gather)
+    return loss, *_param_views(model.config, grads)
 
 
 def _batch_slices(n: int, batch_size: int) -> list[np.ndarray]:
@@ -351,11 +411,12 @@ def train_mlp(
     Validation loss is evaluated once per epoch in eval mode; training
     stops after `patience` consecutive epochs without improvement or at
     max_epochs, and the returned parameters are those of the best epoch.
-    Parameters, gradients, both Adam moments and the best-epoch copy are
-    five flat buffers allocated once per call (see the module docstring);
-    each step writes the gradients in place and runs Adam block by block,
-    with the same operations per element, and so the same bits, as an
-    update of each weight and bias on its own.
+    Parameters, both Adam moments and the best-epoch copy are four flat
+    buffers allocated once per call (see the module docstring); each step
+    hands `loss_and_grads` an Adam update that it applies to every
+    gradient slab as backprop produces it, with the same operations per
+    element, and so the same bits, as an update of each weight and bias on
+    its own after the whole backward pass.
     """
     x_train, y_train = np.asarray(train[0], float), np.asarray(train[1], float)
     x_val, y_val = np.asarray(val[0], float), np.asarray(val[1], float)
@@ -376,16 +437,10 @@ def train_mlp(
 
     size = cfg.num_parameters()
     params, moment1, moment2 = (np.zeros(size, dtype=TRAIN_DTYPE) for _ in range(3))
-    grads, best = np.empty(size, dtype=TRAIN_DTYPE), np.empty(size, dtype=TRAIN_DTYPE)
+    best = np.empty(size, dtype=TRAIN_DTYPE)
     model = _init_into(cfg, params)
-    grad_views = _param_views(cfg, grads)
     rng = np.random.default_rng(cfg.seed + 1)
-
     scratch = np.empty(min(BLOCK_SIZE, size), dtype=TRAIN_DTYPE)
-    blocks = []
-    for start in range(0, size, BLOCK_SIZE):
-        views = [buf[start : start + BLOCK_SIZE] for buf in (params, grads, moment1, moment2)]
-        blocks.append((*views, scratch[: views[0].size]))
     step = 0
 
     best_val = np.inf
@@ -402,33 +457,41 @@ def train_mlp(
         for block in _batch_slices(n, cfg.batch_size):
             idx = order[block]
             masks = make_dropout_masks(cfg, len(idx), rng)
-            loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], masks, out=grad_views)
-            if not np.isfinite(loss):
-                raise MLPError(f"non-finite training loss at epoch {epoch}")
             step += 1
             correction1 = 1.0 - ADAM_BETA1**step
             correction2 = 1.0 - ADAM_BETA2**step
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), through the scratch block s
-            for p, g, m, v, s in blocks:
-                m *= ADAM_BETA1
-                np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-                m += s
-                v *= ADAM_BETA2
-                np.multiply(g, g, out=s)
-                s *= 1.0 - ADAM_BETA2
-                v += s
-                np.divide(v, correction2, out=s)
-                np.sqrt(s, out=s)
-                s += ADAM_EPS
-                np.divide(m, s, out=s)
-                s *= cfg.learning_rate / correction1
-                p -= s
+
+            def adam(start: int, slab: np.ndarray) -> None:
+                # p -= lr * (m / c1) / (sqrt(v / c2) + eps) where the
+                # gradients g fall, block by block through the scratch s
+                for lo in range(start, start + slab.size, BLOCK_SIZE):
+                    g = slab[lo - start : lo - start + BLOCK_SIZE]
+                    p, m, v = (buf[lo : lo + g.size] for buf in (params, moment1, moment2))
+                    s = scratch[: g.size]
+                    m *= ADAM_BETA1
+                    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+                    m += s
+                    v *= ADAM_BETA2
+                    np.multiply(g, g, out=s)
+                    s *= 1.0 - ADAM_BETA2
+                    v += s
+                    np.divide(v, correction2, out=s)
+                    np.sqrt(s, out=s)
+                    s += ADAM_EPS
+                    np.divide(m, s, out=s)
+                    s *= cfg.learning_rate / correction1
+                    p -= s
+
+            # the loss is checked after Adam applied its gradients; a
+            # non-finite one ends training, so that update is never seen
+            loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], masks, adam)
+            if not np.isfinite(loss):
+                raise MLPError(f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss
             n_batches += 1
         train_history.append(epoch_loss / max(1, n_batches))
 
-        val_out, _ = _forward_cached(model, x_val, None)
-        val_loss = fvu_loss(val_out, y_val)
+        val_loss = fvu_loss(_forward(model, x_val, None)[-1], y_val)
         if not np.isfinite(val_loss):
             raise MLPError(f"non-finite validation loss at epoch {epoch}")
         val_history.append(val_loss)

@@ -67,6 +67,14 @@ def _check_lu_nodes(g: WordNetGraph, nodes: Iterable[NodeId], role: str) -> None
             raise PropagationError(f"{role} node {node} is not a lexical unit")
 
 
+def _check_disjoint(a: set[NodeId], b: Iterable[NodeId], what: str) -> None:
+    """Raise PropagationError naming up to five LUs that `a` and `b` share."""
+    overlap = a.intersection(b)
+    if overlap:
+        sample = ", ".join(str(n) for n in sorted(overlap)[:5])
+        raise PropagationError(f"{what} overlap: {sample}")
+
+
 def build_plan(
     g: WordNetGraph, seed: Iterable[NodeId], targets: Iterable[NodeId]
 ) -> PropagationPlan:
@@ -78,10 +86,7 @@ def build_plan(
     """
     seed_set = set(seed)
     target_set = set(targets)
-    overlap = seed_set & target_set
-    if overlap:
-        sample = ", ".join(str(n) for n in sorted(overlap)[:5])
-        raise PropagationError(f"seed and targets overlap: {sample}")
+    _check_disjoint(seed_set, target_set, "seed and targets")
     _check_lu_nodes(g, sorted(seed_set), "seed")
     _check_lu_nodes(g, sorted(target_set), "target")
 
@@ -145,7 +150,9 @@ def propagate(
     retrain_per_wave: bool = False,
 ) -> PropagationResult:
     """Train on the seed LUs' annotations, validate on the val LUs', then
-    predict the targets wave by wave.
+    predict the targets wave by wave.  A validation LU in the seed would let
+    early stopping select on training rows, so the two sets must be
+    disjoint, as must the seed and the targets.
 
     With retrain_per_wave off (the default) every wave is predicted by
     the same frozen model, so the result is identical to one batch
@@ -157,6 +164,7 @@ def propagate(
     if not seed_ids:
         raise PropagationError("seed annotations are empty")
     val_ids = sorted(set(val))
+    _check_disjoint(set(seed_ids), val_ids, "seed and validation sets")
     target_ids = sorted(set(targets))
     require_embeddings(embeddings, (*seed_ids, *val_ids, *target_ids))
     plan = build_plan(g, seed_ids, target_ids)

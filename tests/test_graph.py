@@ -374,6 +374,19 @@ class TestParseAndWrite:
             write_wordnet_file(g, path)
         assert not path.exists()
 
+    def test_write_refuses_annotation_keyed_by_a_synset(self, tmp_path):
+        """An annotation line names its node as [id, lang], and the parser
+        reads it as the LU with that id, so an annotation stored on a
+        synset is refused before the file is opened."""
+        g = self._fixture_graph()
+        g.add_node(lu(17, "pl"))
+        g.annotations[synset(17, "pl")] = ann(2)
+        path = tmp_path / "graph.jsonl"
+        match = r"^annotation target NodeId\(kind='synset', id=17, lang='pl'\) is not a lexical unit$"
+        with pytest.raises(GraphError, match=match):
+            write_wordnet_file(g, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("dst_lang, flag", [("pl", "true"), ("en", "false")])
     def test_interlingual_mismatch_reports_line(self, tmp_path, dst_lang, flag):
         text = (

@@ -16,7 +16,9 @@ from emoprop.mlp import (
     ADAM_EPS,
     BLOCK_SIZE,
     CHECKPOINT_MAGIC,
+    SLAB_SIZE,
     TRAIN_DTYPE,
+    VARIANCE_EPS,
     MLPConfig,
     MLPError,
     MLPModel,
@@ -33,9 +35,11 @@ from emoprop.mlp import (
     train_mlp,
     _batch_slices,
     _check_rows,
-    _forward_cached,
+    _forward,
     _init_into,
+    _slab_rows,
 )
+import emoprop.mlp
 
 
 class TestConfig:
@@ -168,7 +172,7 @@ class TestForward:
         model = init_model(cfg)
         x = np.random.default_rng(3).normal(size=(4, 10))
         masks = make_dropout_masks(cfg, 4, np.random.default_rng(9))
-        train_out, _ = _forward_cached(model, x, masks)
+        train_out = _forward(model, x, masks)[-1]
         assert np.array_equal(train_out, predict(model, x))
 
     def test_input_dim_mismatch(self):
@@ -217,7 +221,7 @@ class TestForward:
         total = np.zeros(26)
         draws = 10000
         for _ in range(draws):
-            out, _ = _forward_cached(positive, x[None, :], make_dropout_masks(cfg, 1, rng))
+            out = _forward(positive, x[None, :], make_dropout_masks(cfg, 1, rng))[-1]
             total += out[0]
         avg = total / draws
         rel = np.abs(avg - expected) / np.abs(expected)
@@ -251,6 +255,20 @@ class TestFvuLoss:
     def test_shape_mismatch(self):
         with pytest.raises(MLPError):
             fvu_loss(np.ones((4, 26)), np.ones((5, 26)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_reference_bit_for_bit(self, dtype):
+        """The same loss and float64 gradient bits as the formula written
+        out step by step, a batch-constant target dimension included."""
+        rng = np.random.default_rng(5)
+        pred = rng.normal(size=(33, 26)).astype(dtype)
+        y = rng.normal(size=(33, 26))
+        y[:, 7] = 0.3
+        loss, grad = fvu_loss_and_grad(pred, y)
+        ref_loss, ref_grad = _reference_fvu_loss_and_grad(pred, y)
+        assert loss == ref_loss
+        assert grad.dtype == np.float64
+        assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -286,24 +304,41 @@ class TestGradients:
         self._check_fd(model, x, y, masks=masks)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_out_arrays_receive_the_same_gradients(self, dtype):
+    def test_slabs_concatenate_to_the_full_gradients(self, dtype, monkeypatch):
+        """With a consumer, backprop hands over slabs that tile the flat
+        layout once and hold the gradients a full-matrix backprop gives
+        (bit for bit in float32).  The consumer poisons each slab's
+        parameters on arrival, so a layer's input delta computed after
+        any of its slabs would carry NaN into the layers below."""
+        monkeypatch.setattr(emoprop.mlp, "SLAB_SIZE", 20)
         cfg = MLPConfig(variant="deep", input_dim=7, hidden_dims=(9, 4), dropout=0.2, seed=8)
-        model = _init_into(cfg, np.zeros(cfg.num_parameters(), dtype=dtype))
+        flat = np.zeros(cfg.num_parameters(), dtype=dtype)
+        model = _init_into(cfg, flat)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 7)).astype(dtype)
         y = rng.normal(size=(6, 26))
         masks = make_dropout_masks(cfg, 6, np.random.default_rng(10))
+        ref_loss, ref_w, ref_b = _reference_loss_and_grads(model, x, y, masks)
         loss, d_w, d_b = loss_and_grads(model, x, y, masks)
-        out = (
-            [np.full_like(w, np.nan) for w in model.weights],
-            [np.full_like(b, np.nan) for b in model.biases],
-        )
-        loss_out, d_w_out, d_b_out = loss_and_grads(model, x, y, masks, out=out)
-        assert loss_out == loss
-        for got, held, want in zip([*d_w_out, *d_b_out], [*out[0], *out[1]], [*d_w, *d_b]):
-            assert got is held
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        slabs = {}
+
+        def consume(start, slab):
+            slabs[start] = slab.copy()
+            flat[start : start + slab.size] = np.nan
+
+        assert loss_and_grads(model, x, y, masks, consume) == (loss, None, None)
+        assert loss == ref_loss
+        assert len(slabs) > 2 * len(cfg.layer_dims())
+        starts = sorted(slabs)
+        assert [a + slabs[a].size for a in starts] == [*starts[1:], flat.size]
+        full = np.concatenate([slabs[a] for a in starts])
+        assert full.dtype == dtype
+        assert np.array_equal(full, np.concatenate([g.reshape(-1) for g in _interleave(d_w, d_b)]))
+        want = np.concatenate([g.reshape(-1) for g in _interleave(ref_w, ref_b)])
+        if dtype == np.float32:
+            assert np.array_equal(full, want)
+        else:
+            np.testing.assert_allclose(full, want, rtol=1e-12, atol=1e-15)
 
     @staticmethod
     def _check_fd(model, x, y, masks):
@@ -358,15 +393,79 @@ def _split_task(seed=12):
     return x[:200], y[:200], x[200:], y[200:]
 
 
+def _interleave(weights, biases):
+    """Arrays in the flat layout's order: w0, b0, w1, b1, ..."""
+    return [a for pair in zip(weights, biases) for a in pair]
+
+
+def _reference_fvu_loss_and_grad(pred, target):
+    """`fvu_loss_and_grad` before its rewrite, verbatim."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    n, dims = pred.shape
+    resid = pred - target
+    ss_res = np.sum(resid**2, axis=0)
+    centered = target - target.mean(axis=0)
+    ss_tot = np.sum(centered**2, axis=0)
+    constant = ss_tot / n < VARIANCE_EPS
+
+    per_dim = np.where(constant, ss_res / n, ss_res / np.where(constant, 1.0, ss_tot))
+    loss = float(per_dim.mean())
+    scale = np.where(constant, 1.0 / n, 1.0 / np.where(constant, 1.0, ss_tot))
+    grad = (2.0 / dims) * resid * scale
+    return loss, grad
+
+
+def _reference_forward(model, x, masks):
+    """The forward pass before in-place activations, verbatim: output,
+    activations and pre-activations."""
+    n_layers = len(model.weights)
+    activations = [x]
+    pre_acts = []
+    h = x
+    for li in range(n_layers):
+        z = h @ model.weights[li] + model.biases[li]
+        pre_acts.append(z)
+        if li < n_layers - 1:
+            h = np.maximum(z, 0.0)
+            if masks is not None and masks[li] is not None:
+                h = h * masks[li]
+        else:
+            h = z
+        activations.append(h)
+    return h, activations, pre_acts
+
+
+def _reference_loss_and_grads(model, x, y, masks):
+    """FVU loss and full-matrix backprop before gradient slabs, verbatim:
+    one product per weight gradient, masks and ReLU derivative applied to
+    fresh arrays."""
+    pred, activations, pre_acts = _reference_forward(model, x, masks)
+    loss, d_out = _reference_fvu_loss_and_grad(pred, y)
+    delta = d_out.astype(pred.dtype, copy=False)
+    n_layers = len(model.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    for li in range(n_layers - 1, -1, -1):
+        d_weights[li] = activations[li].T @ delta
+        d_biases[li] = delta.sum(axis=0)
+        if li > 0:
+            da = delta @ model.weights[li].T
+            if masks is not None and masks[li - 1] is not None:
+                da = da * masks[li - 1]
+            delta = da * (pre_acts[li - 1] > 0.0)
+    return loss, d_weights, d_biases
+
+
 def _reference_train_mlp(
     cfg: MLPConfig,
     train: tuple[np.ndarray, np.ndarray],
     val: tuple[np.ndarray, np.ndarray],
 ) -> tuple[MLPModel, TrainReport]:
     """`train_mlp` before the flat buffers, verbatim: float64 init cast with
-    astype, a fresh gradient set per step, and Adam as 13 passes over each
-    weight and bias with a full-size scratch.  Training must reproduce it
-    bit for bit.
+    astype, a fresh gradient set per step from the full-matrix backprop of
+    `_reference_loss_and_grads`, and Adam as 13 passes over each weight and
+    bias with a full-size scratch, after the whole backward pass.
+    Training must reproduce it bit for bit.
 
     Adam on mini-batch FVU with early stopping, in float32.
 
@@ -419,7 +518,7 @@ def _reference_train_mlp(
         for block in _batch_slices(n, cfg.batch_size):
             idx = order[block]
             masks = make_dropout_masks(cfg, len(idx), rng)
-            loss, d_w, d_b = loss_and_grads(model, x_train[idx], y_train[idx], masks)
+            loss, d_w, d_b = _reference_loss_and_grads(model, x_train[idx], y_train[idx], masks)
             if not np.isfinite(loss):
                 raise MLPError(f"non-finite training loss at epoch {epoch}")
             step += 1
@@ -444,8 +543,8 @@ def _reference_train_mlp(
             n_batches += 1
         train_history.append(epoch_loss / max(1, n_batches))
 
-        val_out, _ = _forward_cached(model, x_val, None)
-        val_loss = fvu_loss(val_out, y_val)
+        val_out = _reference_forward(model, x_val, None)[0]
+        val_loss = _reference_fvu_loss_and_grad(val_out, y_val)[0]
         if not np.isfinite(val_loss):
             raise MLPError(f"non-finite validation loss at epoch {epoch}")
         val_history.append(val_loss)
@@ -473,23 +572,82 @@ def _reference_train_mlp(
     return model, report
 
 
+# rows of a weight gradient slab 600 wide; a (3 * rows + 1) x 600 weight
+# spans three slabs, the last one ragged with the trailing row joined to it
+_SLAB_ROWS_600 = SLAB_SIZE // 600
+
+
+class TestSlabRows:
+    def test_slabs_tile_the_rows(self):
+        rows = _SLAB_ROWS_600
+        assert _slab_rows(3 * rows + 1, 600) == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows + 1)]
+        assert _slab_rows(2 * rows + 5, 600) == [(0, rows), (rows, 2 * rows), (2 * rows, 2 * rows + 5)]
+
+    def test_at_least_two_rows(self):
+        assert _slab_rows(5, 2 * SLAB_SIZE) == [(0, 2), (2, 5)]
+
+    def test_one_row_or_one_column_weight_is_one_slab(self):
+        assert _slab_rows(1, 26) == [(0, 1)]
+        assert _slab_rows(3 * SLAB_SIZE, 1) == [(0, 3 * SLAB_SIZE)]
+
+
 class TestTraining:
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, n_train, constant_dim",
         [
             # the 200x300 weight spans flat elements 2200 to 62200, across
             # the first block boundary
-            MLPConfig(
-                variant="deep", input_dim=10, hidden_dims=(200, 300, 7), dropout=0.3,
-                batch_size=32, max_epochs=4, patience=5, seed=3,
+            (
+                MLPConfig(
+                    variant="deep", input_dim=10, hidden_dims=(200, 300, 7), dropout=0.3,
+                    batch_size=32, max_epochs=4, patience=5, seed=3,
+                ),
+                200,
+                None,
             ),
-            MLPConfig(variant="base", input_dim=10, batch_size=16, max_epochs=30, patience=3, seed=2),
+            # the largest weight spans three gradient slabs, the last ragged;
+            # the 600x1 and 1x26 weights are matrix-vector products, whose
+            # sums on a slab of rows would round differently at this batch size
+            (
+                MLPConfig(
+                    variant="deep", input_dim=10, hidden_dims=(3 * _SLAB_ROWS_600 + 1, 600, 1),
+                    dropout=0.2, batch_size=128, max_epochs=3, patience=5, seed=4,
+                ),
+                200,
+                None,
+            ),
+            # 161 % 32 == 1: the trailing sample joins the last batch
+            (
+                MLPConfig(
+                    variant="deep", input_dim=10, hidden_dims=(40, 20), dropout=0.2,
+                    batch_size=32, max_epochs=4, patience=5, seed=5,
+                ),
+                161,
+                None,
+            ),
+            # a constant target dimension falls back to plain squared error
+            (
+                MLPConfig(
+                    variant="deep", input_dim=10, hidden_dims=(40, 20), dropout=0.2,
+                    batch_size=32, max_epochs=4, patience=5, seed=6,
+                ),
+                200,
+                5,
+            ),
+            (
+                MLPConfig(variant="base", input_dim=10, batch_size=16, max_epochs=30, patience=3, seed=2),
+                200,
+                None,
+            ),
         ],
-        ids=["deep", "base"],
+        ids=["deep", "deep_slabs", "deep_trailing_sample", "deep_constant_target", "base"],
     )
-    def test_matches_reference_bit_for_bit(self, cfg):
-        assert cfg.variant == "base" or 2200 < BLOCK_SIZE < 62200
+    def test_matches_reference_bit_for_bit(self, cfg, n_train, constant_dim):
+        assert 2200 < BLOCK_SIZE < 62200
         x_tr, y_tr, x_va, y_va = _split_task(seed=6)
+        x_tr, y_tr = x_tr[:n_train], y_tr[:n_train]
+        if constant_dim is not None:
+            y_tr[:, constant_dim] = y_va[:, constant_dim] = 0.25
         model, report = train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
         ref_model, ref_report = _reference_train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
         for p, q in zip([*model.weights, *model.biases], [*ref_model.weights, *ref_model.biases]):
@@ -776,13 +934,14 @@ class TestPrecision:
             assert g.dtype == np.float64
 
     def test_training_peak_memory_per_parameter(self):
-        """Parameters, gradients, both moments and the best-epoch copy in
-        five float32 buffers allocated once, Adam through a block-sized
-        scratch: the traced peak of one call stays at or below 26.5 bytes
-        per parameter (24.8 measured).  Adam in one pass through a
-        full-size scratch (28.3, and 9% more peak RSS on the deep
-        cross-validation benchmark), a fresh gradient set per step (32.5)
-        or float64 moments (~65) exceed it."""
+        """Parameters, both moments and the best-epoch copy in four float32
+        buffers allocated once, and each gradient slab applied by Adam as
+        soon as backprop computes it, through a slab-sized and a
+        block-sized scratch: the traced peak of one call stays at or below
+        23.0 bytes per parameter (22.2 measured; the 1 MB slab scratch,
+        as large as this net's biggest weight, is 3.7 of it).  A flat
+        gradient buffer besides (24.8 measured), a fresh gradient set per
+        step or float64 moments exceed it."""
         cfg = MLPConfig(
             variant="deep", input_dim=16, hidden_dims=(1024, 256), batch_size=32,
             max_epochs=3, patience=3, seed=1,
@@ -797,4 +956,4 @@ class TestPrecision:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / n_params <= 26.5
+        assert peak / n_params <= 23.0

@@ -142,6 +142,15 @@ class TestPropagate:
         with pytest.raises(PropagationError, match=re.escape(f"{unannotated} has no annotation")):
             propagate(g, table, cfg, seed_lus, val_lus, targets)
 
+    def test_validation_overlapping_seed_rejected(self):
+        """Early stopping on seed rows would select on training data."""
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        shared = ", ".join(str(n) for n in seed_lus[1:3])
+        with pytest.raises(
+            PropagationError, match=re.escape(f"seed and validation sets overlap: {shared}")
+        ):
+            propagate(g, table, cfg, seed_lus, [*seed_lus[1:3], *val_lus], targets)
+
     def test_missing_embeddings_counted_past_ten(self):
         g, table, cfg, seed_lus, val_lus, _ = _chain_fixture()
         extra = [lu(i) for i in range(100, 112)]
