@@ -6,9 +6,9 @@ contiguous blocks; fold k tests on block k, validates on block (k+1) mod
 10 and trains on the rest, an 80/10/10 split when the count divides
 evenly.  Classification metrics binarize at 0.5 and follow the 0/0 = 0
 convention; regression metrics pool all (LU, dimension) pairs into one
-series.  Normality is checked with the Shapiro-Wilk W statistic using
-Royston's 1995 approximation (AS R94) for the p-value, and runs are
-compared with a paired two-sided Student t-test.
+series.  Normality is checked with Shapiro-Wilk and runs are compared
+with a paired two-sided Student t-test, both computed by ``scipy.stats``,
+which is imported on first use so that no pipeline stage loads it.
 """
 
 from __future__ import annotations
@@ -192,81 +192,21 @@ def pooled_r_r2(pred: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     return max(-1.0, min(1.0, r)), r2
 
 
-# Royston's AS R94 polynomial coefficients, lowest order first.
-_SW_C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_SW_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_SW_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
-_SW_C4 = (1.3822, -0.77857, 0.062767, -2.0322e-3)
-_SW_C5 = (-1.5861, -0.31082, -0.083751, 3.8915e-3)
-_SW_C6 = (-0.4803, -0.082676, 3.0302e-3)
-_SW_G = (-2.273, 0.459)
-_SW_PI6 = 1.90985931710274
-_SW_STQR = 1.04719755119660
-_SW_SMALL = 1e-19
-
-
 def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
-    """W statistic and its p-value under the normality null.
-
-    Weights follow Royston (1995): Blom scores normalized to unit length
-    with polynomial corrections to the one or two extreme weights; the
-    p-value transforms W to an approximately standard normal z whose
-    parameters depend on n (a direct arcsine formula at n = 3).
-    """
-    from numpy.polynomial.polynomial import polyval
-    from scipy.special import ndtr, ndtri
-
-    x = np.sort(np.asarray(list(sample), dtype=np.float64))
-    n = x.size
-    if n < 3:
+    """W statistic and p-value from ``scipy.stats.shapiro``.  Fewer than 3
+    observations (scipy raises ValueError), more than 5000 or a range under
+    1e-19 (scipy warns and returns a number) raise EvalError before the call."""
+    x = np.asarray(list(sample), dtype=np.float64)
+    if x.size < 3:
         raise EvalError("need at least 3 observations")
-    if n > 5000:
+    if x.size > 5000:
         raise EvalError("more than 5000 observations")
-    if x[0] == x[-1]:
+    if x.max() - x.min() < 1e-19:  # the range swilk treats as zero (scipy 1.17.1)
         raise EvalError("zero variance sample")
+    from scipy.stats import shapiro
 
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    ssumm2 = float(np.dot(m, m))
-    rsn = 1.0 / np.sqrt(n)
-    if n == 3:
-        a = np.array([-np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-    else:
-        a_top = m[-1] / np.sqrt(ssumm2) + polyval(rsn, _SW_C1)
-        if n > 5:
-            a_next = m[-2] / np.sqrt(ssumm2) + polyval(rsn, _SW_C2)
-            fac = np.sqrt(
-                (ssumm2 - 2 * m[-1] ** 2 - 2 * m[-2] ** 2)
-                / (1 - 2 * a_top**2 - 2 * a_next**2)
-            )
-            a = m / fac
-            a[-1], a[-2], a[0], a[1] = a_top, a_next, -a_top, -a_next
-        else:
-            fac = np.sqrt((ssumm2 - 2 * m[-1] ** 2) / (1 - 2 * a_top**2))
-            a = m / fac
-            a[-1], a[0] = a_top, -a_top
-
-    xc = x - x.mean()
-    w = float(np.dot(a, x)) ** 2 / float(np.dot(xc, xc))
-    w = min(w, 1.0)
-
-    if n == 3:
-        p = _SW_PI6 * (np.arcsin(np.sqrt(w)) - _SW_STQR)
-        return ShapiroResult(w, float(min(max(p, 0.0), 1.0)))
-
-    y = float(np.log(max(1.0 - w, _SW_SMALL)))
-    if n <= 11:
-        gamma = polyval(float(n), _SW_G)
-        if y >= gamma:
-            return ShapiroResult(w, _SW_SMALL)
-        y = -np.log(gamma - y)
-        mu = polyval(float(n), _SW_C3)
-        sigma = np.exp(polyval(float(n), _SW_C4))
-    else:
-        log_n = np.log(float(n))
-        mu = polyval(log_n, _SW_C5)
-        sigma = np.exp(polyval(log_n, _SW_C6))
-    p = float(ndtr(-(y - mu) / sigma))
-    return ShapiroResult(w, min(max(p, 0.0), 1.0))
+    res = shapiro(x)
+    return ShapiroResult(float(res.statistic), float(res.pvalue))
 
 
 def _paired_differences(a: Iterable[float], b: Iterable[float]) -> np.ndarray:
@@ -280,23 +220,18 @@ def _paired_differences(a: Iterable[float], b: Iterable[float]) -> np.ndarray:
 
 
 def paired_t_test(a: Iterable[float], b: Iterable[float]) -> TTestResult:
-    """Two-sided paired Student t-test on a − b.
-
-    t = mean(d)/(sd(d)/√n) with the n−1 sample standard deviation; the
-    p-value comes from the t CDF expressed through the regularized
-    incomplete beta function.  Exactly equal differences raise EvalError.
-    """
-    from scipy.special import betainc
-
+    """Two-sided paired t-test: ``scipy.stats.ttest_1samp`` of a − b against 0,
+    as ``ttest_rel`` computes it.  Differences equal up to rounding raise EvalError."""
     d = _paired_differences(a, b)
-    if (d == d[0]).all():
+    mean = d.mean()
+    # scipy 1.17.1's _demean warns of cancellation at a spread under 10 ulps of the mean
+    spread = np.abs(d - mean).max()
+    if (d == d[0]).all() or spread < 10 * np.finfo(np.float64).eps * abs(mean):
         raise EvalError("zero-variance differences (samples identical up to a shift)")
-    n = d.size
-    sd = float(np.std(d, ddof=1))
-    t = float(d.mean() / (sd / np.sqrt(n)))
-    df = n - 1
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return TTestResult(t, df, p)
+    from scipy.stats import ttest_1samp
+
+    res = ttest_1samp(d, 0.0)
+    return TTestResult(float(res.statistic), d.size - 1, float(res.pvalue))
 
 
 def compare_runs(

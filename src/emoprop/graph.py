@@ -199,9 +199,6 @@ class WordNetGraph:
             raise GraphError(f"unknown node {node}")
         return list(self.adjacency[node])
 
-    def lexical_units(self) -> list[NodeId]:
-        return sorted(n for n in self.nodes if n.kind == LEXICAL_UNIT)
-
     def synsets(self) -> list[NodeId]:
         return sorted(n for n in self.nodes if n.kind == SYNSET)
 

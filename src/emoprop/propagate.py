@@ -154,10 +154,11 @@ def propagate(
     early stopping select on training rows, so the two sets must be
     disjoint, as must the seed and the targets.
 
-    With retrain_per_wave off (the default) every wave is predicted by
-    the same frozen model, so the result is identical to one batch
-    prediction.  With it on, each completed wave's raw predictions are
-    appended to the training inputs and the model is retrained from
+    With retrain_per_wave off (the default) one frozen model predicts
+    every wave, but float32 products round with the row count, so a
+    wave's rows can differ in the last bits from one batch ``predict``
+    over all targets.  With it on, each completed wave's raw predictions
+    are appended to the training inputs and the model is retrained from
     scratch before the next wave; the validation set is never extended.
     """
     seed_ids = sorted(set(seed))

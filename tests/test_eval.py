@@ -20,7 +20,7 @@ from emoprop.evaluate import (
     run_cv,
     shapiro_wilk,
 )
-from emoprop.graph import DIMENSIONS, NUM_DIMENSIONS
+from emoprop.graph import DIMENSIONS, LEXICAL_UNIT, NUM_DIMENSIONS
 from emoprop.mlp import MLPConfig
 from emoprop.synth import SynthConfig, generate
 from helpers import ann, lu, random_table
@@ -158,6 +158,12 @@ class TestPooledR:
             pooled_r_r2(np.array([1.0]), np.array([2.0]))
 
 
+# scipy only warns on some of what the guards reject (a UserWarning for
+# N > 5000 and for a range it treats as zero, a RuntimeWarning for
+# differences equal up to rounding), and pyproject turns only
+# RuntimeWarning into an error; here every warning is one, so each guard
+# must raise EvalError before scipy is called.
+@pytest.mark.filterwarnings("error")
 class TestShapiroWilk:
     @pytest.mark.parametrize(
         "name,sample,expected_w,expected_p", stats_fixtures.SHAPIRO_CASES
@@ -190,8 +196,13 @@ class TestShapiroWilk:
             shapiro_wilk(np.arange(5001, dtype=float))
         with pytest.raises(EvalError, match="zero variance"):
             shapiro_wilk([2.0, 2.0, 2.0, 2.0])
+        with pytest.raises(EvalError, match="zero variance"):
+            shapiro_wilk([0.0, 1e-300, 3e-300])
+        got = shapiro_wilk(np.arange(5000, dtype=float) ** 2)
+        assert 0.0 < got.statistic < 1.0 and 0.0 <= got.pvalue < 0.05
 
 
+@pytest.mark.filterwarnings("error")
 class TestPairedTTest:
     @pytest.mark.parametrize("name,a,b,expected_t,expected_p", stats_fixtures.TTEST_CASES)
     def test_reference_values(self, name, a, b, expected_t, expected_p):
@@ -219,6 +230,9 @@ class TestPairedTTest:
         detected on the differences themselves."""
         with pytest.raises(EvalError, match="zero-variance differences"):
             paired_t_test(np.full(10, 1 / 3), np.zeros(10))
+        # 0.1 up to rounding: 0.09999999999999998, 0.10000000000000009, ...
+        with pytest.raises(EvalError, match="zero-variance differences"):
+            paired_t_test([0.7, 0.8, 0.9], [0.6, 0.7, 0.8])
 
     def test_shift_invariance(self):
         a = [0.3, 0.6, 0.2, 0.9, 0.4]
@@ -234,6 +248,7 @@ class TestPairedTTest:
             paired_t_test([1.0], [2.0])
 
 
+@pytest.mark.filterwarnings("error")
 class TestCompareRuns:
     def test_identical_samples(self):
         vals = [0.5, 0.6, 0.7, 0.8]
@@ -263,6 +278,9 @@ class TestCompareRuns:
         text = format_comparison(report)
         assert "paired t-test: constant difference 0.3333, no statistic" in text
         assert "significant" not in text
+        report = compare_runs([0.7, 0.8, 0.9], [0.6, 0.7, 0.8])
+        assert report.ttest is None and report.significant is None
+        assert "constant difference 0.1000, no statistic" in format_comparison(report)
 
     def test_unpaired_samples_rejected(self):
         with pytest.raises(EvalError, match="differ in shape"):
@@ -368,7 +386,8 @@ def _cv_fixture():
             seed=14,
         )
     )
-    table = random_table(g.lexical_units() + g.synsets(), dim=8, seed=15)
+    lus = sorted(n for n in g.nodes if n.kind == LEXICAL_UNIT)
+    table = random_table(lus + g.synsets(), dim=8, seed=15)
     cfg = MLPConfig(variant="base", input_dim=8, batch_size=16, max_epochs=20, patience=30, seed=3)
     return g, table, cfg
 

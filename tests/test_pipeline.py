@@ -18,7 +18,7 @@ import emoprop
 from emoprop.cli import main
 from emoprop.corpus import CorpusConfig, node_token
 from emoprop.embed import EmbedConfig
-from emoprop.graph import NUM_DIMENSIONS, write_wordnet_file
+from emoprop.graph import LEXICAL_UNIT, NUM_DIMENSIONS, write_wordnet_file
 from emoprop.mlp import MLPConfig
 from emoprop.propagate import PropagationError
 from emoprop.pipeline import (
@@ -376,7 +376,7 @@ def annotated_inputs(out, n_annotated, **propagate):
     dim-4 embedding file covering every node, and a config reading both."""
     g = chain_graph(n_synsets=n_annotated)
     rng = np.random.default_rng(0)
-    for node in g.lexical_units():
+    for node in sorted(n for n in g.nodes if n.kind == LEXICAL_UNIT):
         g.set_annotation(node, rng.random(NUM_DIMENSIONS))
     write_wordnet_file(g, out / "graph.jsonl")
     rows = [" ".join([node_token(n), *map(str, rng.normal(size=4))]) for n in sorted(g.nodes)]

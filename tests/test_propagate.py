@@ -75,7 +75,7 @@ class TestBuildPlan:
             g = generate(
                 SynthConfig(communities=2, synsets_per_community=4, lus_per_synset=2, seed=seed)
             )
-            lus = g.lexical_units()
+            lus = sorted(n for n in g.nodes if n.kind == LEXICAL_UNIT)
             seed_lus = lus[:3]
             targets = lus[5:]
             plan = build_plan(g, seed_lus, targets)
