@@ -1,11 +1,9 @@
 """Self-avoiding random walks over the lexical graph, emitted as token text.
 
 A walk visits up to a fixed number of nodes, never revisiting one within a
-sequence, and records alternating node and relation tokens.  Node tokens
-are "S#<lang>#<id>" / "L#<lang>#<id>"; relation tokens are "r" + optional
-"i" (inter-lingual) + endpoint category + "#" + relation name, e.g.
-"rSS#hyponymy" or "riSS#synonymy-il".  Relation tokens identify the
-relation type only, not the individual edge, and are direction-independent.
+sequence, and records alternating node and relation tokens, in the formats
+of `node_token` and `edge_token` (see the graph module).  Walks run on the
+graph's index view (`WordNetGraph.walk_view`), built once per graph.
 
 Each walk draws from its own counter-split RNG stream, so generation is a
 pure function of (graph, parameters, seed) and parallel scheduling could
@@ -19,15 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Edge, GraphError, NodeId, WordNetGraph, _KIND_LETTER
-
-def node_token(node: NodeId) -> str:
-    return f"{_KIND_LETTER[node.kind]}#{node.lang}#{node.id}"
-
-
-def edge_token(edge: Edge) -> str:
-    inter = "i" if edge.rel.interlingual else ""
-    return f"r{inter}{edge.rel.category}#{edge.rel.name}"
+# the token formats live next to the walk view that caches them; callers
+# import them from here as the corpus's vocabulary
+from .graph import GraphError, NodeId, WordNetGraph, edge_token, node_token
 
 
 @dataclass
@@ -74,23 +66,23 @@ def random_walk(
         raise GraphError(f"unknown node {start}")
     if length < 1:
         raise ValueError("walk length must be >= 1")
-    adjacency = g.adjacency
-    tokens = [node_token(start)]
-    visited = {start}
-    current = start
+    view = g.walk_view
+    current = view.index[start]
+    tokens = [view.tokens[current]]
+    visited = {current}
     for _ in range(length - 1):
+        lang = view.langs[current]
         admissible = [
-            (e, m)
-            for e, m in adjacency[current]
-            if m not in visited and (cross_lingual or m.lang == current.lang)
+            (rel, m)
+            for rel, m in view.adjacent[current]
+            if m not in visited and (cross_lingual or view.langs[m] == lang)
         ]
         if not admissible:
             break
-        edge, nxt = admissible[rng.integers(len(admissible))]
-        tokens.append(edge_token(edge))
-        tokens.append(node_token(nxt))
-        visited.add(nxt)
-        current = nxt
+        rel, current = admissible[rng.integers(len(admissible))]
+        tokens.append(rel)
+        tokens.append(view.tokens[current])
+        visited.add(current)
     return tokens
 
 
@@ -99,7 +91,7 @@ def generate_corpus(g: WordNetGraph, cfg: CorpusConfig) -> WalkCorpus:
     uniformly from every node of the graph."""
     if not g.nodes:
         raise GraphError("cannot generate walks on an empty graph")
-    candidates = sorted(g.nodes)
+    candidates = g.walk_view.nodes
 
     sequences = []
     for i in range(cfg.num_walks):

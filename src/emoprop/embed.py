@@ -9,8 +9,13 @@ pair is
     log sigmoid(u_ctx . v_c) + sum_j log sigmoid(-u_neg_j . v_c)
 
 maximized by SGD whose learning rate decays linearly to zero over the total
-planned number of pairs.  Each training step runs `sgns_loss_and_grads` on
-one center and its whole window, the kernel the gradient checks test.
+planned number of pairs.  The loss and its gradients are written once,
+as `sgns_loss` and `sgns_grads`, the two kernels the gradient checks test.
+Each training step runs `sgns_grads` on one center and its whole window,
+after writing the window's dot products into a buffer that holds the
+walk's; `sgns_loss` then reads that buffer once per walk, so the recorded
+per-epoch loss is summed walk by walk.  The sigmoid clips its argument
+below at -60 only (see `sgns_grads` for why a clip above would be dead).
 Training is sequential and deterministic per seed.  Each walk draws the
 negatives of all its centers in one call on the seeded stream, which
 yields the same values, in the same order, as one call per center.  Which
@@ -182,29 +187,38 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def sgns_loss_and_grads(
-    center: np.ndarray, rows: np.ndarray, n_pos: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and analytic gradients for one center and its window.
+def sgns_loss(dots: np.ndarray, signs: np.ndarray) -> float:
+    """Negative-sampling loss of the pairs whose dot products are ``dots``.
+
+    ``signs`` is -1 where a dot product is a context's and +1 where it is
+    a negative's, so the loss -sum_p log s(u_p.v) - sum_j log s(-u_j.v)
+    is sum log(1 + exp(signs * dots)).  Training calls it once per walk,
+    on the dot products of every center's window at once.
+    """
+    # -log s(x) = logaddexp(0, -x): one sign flip, one sum for all
+    z = np.multiply(dots, signs)
+    return float(np.logaddexp(0.0, z, out=z).sum())
+
+
+def sgns_grads(
+    center: np.ndarray, rows: np.ndarray, dots: np.ndarray, n_pos: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (d_center, d_rows) of `sgns_loss` for one center and its window.
 
     ``rows`` holds the context vectors of the window first (``n_pos`` of
-    them), then their negatives.  Returns (loss, d_center, d_rows) for the
-    negative sampling loss -sum_p log s(u_p.v) - sum_j log s(-u_j.v).
+    them), then their negatives, and ``dots`` is ``rows @ center``.  The
+    sigmoid s(x) = 1 / (1 + exp(-x)) clips x below at -60 only.  A clip
+    above at 60 would change no bit: for x >= 60, exp(-x) <= exp(-60)
+    ~ 8.8e-27 < 2**-53, so 1 + exp(-x) already rounds to 1.0, and a NaN
+    passes through either way.
     """
-    dots = rows @ center
-    # -log s(x) = logaddexp(0, -x): negate the positives, one sum for all
-    z = dots.copy()
-    z[:n_pos] *= -1.0
-    loss = float(np.logaddexp(0.0, z, out=z).sum())
-    # s(x) = 1 / (1 + exp(-x)) with x clipped to [-60, 60], in one buffer
     coef = np.maximum(dots, -60.0)
-    np.minimum(coef, 60.0, out=coef)
     np.negative(coef, out=coef)
     np.exp(coef, out=coef)
     coef += 1.0
     np.divide(1.0, coef, out=coef)
     coef[:n_pos] -= 1.0
-    return loss, coef @ rows, coef[:, None] * center
+    return coef @ rows, coef[:, None] * center
 
 
 def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
@@ -214,15 +228,18 @@ def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
     return cdf
 
 
-def _walk_plan(n: int, window: int, k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+def _walk_plan(
+    n: int, window: int, k: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Where each center of an ``n``-token walk finds its output rows.
 
     Returns positions into ``concatenate((walk, negatives))`` that list, for
     center after center, its contexts (left, then right) and then its
-    ``n_ctx * k`` negatives, and per center ``(n_ctx, start, end)``: its
-    slice of those positions.
+    ``n_ctx * k`` negatives; the `sgns_loss` signs of those positions; and
+    per center ``(n_ctx, start, end)``: its slice of both.
     """
     pos: list[int] = []
+    signs: list[int] = []
     spans = []
     neg = n
     for i in range(n):
@@ -232,8 +249,10 @@ def _walk_plan(n: int, window: int, k: int) -> tuple[np.ndarray, list[tuple[int,
         n_ctx = len(pos) - start
         pos.extend(range(neg, neg + n_ctx * k))
         neg += n_ctx * k
+        signs += [-1] * n_ctx + [1] * (n_ctx * k)
         spans.append((n_ctx, start, len(pos)))
-    return np.array(pos, dtype=np.int64), spans
+    # +-1 is exact in int8, and a plan per walk length stays small
+    return np.array(pos, dtype=np.int64), np.array(signs, dtype=np.int8), spans
 
 
 def _distinct_rounds(rows: list[int]) -> list[np.ndarray]:
@@ -294,6 +313,8 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
     plans = {n: _walk_plan(n, window, k) for n in {len(seq) for seq in indexed}}
     # a plan lists each context once and k negatives for it
     walk_pairs = [len(plans[len(seq)][0]) // (1 + k) for seq in indexed]
+    # every center's dot products of one walk, for the walk's loss
+    walk_dots = np.empty((1 + k) * max(walk_pairs, default=0))
     pairs_per_epoch = sum(walk_pairs)
     total_pairs = pairs_per_epoch * cfg.epochs
     if total_pairs == 0:
@@ -314,9 +335,10 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
             # one draw per walk: the same doubles, in the same stream
             # order, as one draw per center
             negs = np.searchsorted(cdf, rng.random(n_pairs * k))
-            pos, spans = plans[len(seq)]
+            pos, signs, spans = plans[len(seq)]
             walk_idx = np.concatenate((seq, negs))[pos]
             walk_flat = (walk_idx[:, None] * dim + cols).ravel()
+            dots = walk_dots[: len(pos)]
             for center_idx, (n_ctx, start, end) in zip(seq.tolist(), spans):
                 lr = lr0 * (1.0 - seen / total_pairs)
                 if token_rows is not None:
@@ -326,22 +348,24 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
                 else:
                     v = input_vectors[center_idx]
 
-                loss, d_center, d_rows = sgns_loss_and_grads(
-                    v, output_vectors.take(walk_idx[start:end], axis=0), n_ctx
+                rows = output_vectors.take(walk_idx[start:end], axis=0)
+                d_center, d_rows = sgns_grads(
+                    v, rows, np.matmul(rows, v, out=dots[start:end]), n_ctx
                 )
-                epoch_loss += loss
                 d_rows *= -lr
                 np.add.at(out_flat, walk_flat[start * dim : end * dim], d_rows.ravel())
                 if token_rows is None:
-                    input_vectors[center_idx] -= lr * d_center
+                    d_center *= lr
+                    input_vectors[center_idx] -= d_center
                 else:
                     # a token listing an n-gram twice ("banana": "ana") counts
                     # that row twice in its mean and updates it once per
                     # listing, one round of distinct rows per listing
                     d_center *= lr / len(in_rows)
-                    for rows in rounds:
-                        input_vectors[rows] -= d_center
+                    for distinct in rounds:
+                        input_vectors[distinct] -= d_center
                 seen += n_ctx
+            epoch_loss += sgns_loss(dots, signs)
         mean_loss = epoch_loss / pairs_per_epoch / (1 + k)
         if not np.isfinite(mean_loss):
             raise EmbeddingError(f"non-finite training loss at epoch {_epoch + 1}: {mean_loss}")

@@ -192,11 +192,25 @@ def pooled_r_r2(pred: np.ndarray, gold: np.ndarray) -> tuple[float, float]:
     return max(-1.0, min(1.0, r)), r2
 
 
+def _finite_sample(values: Iterable[float], name: str) -> np.ndarray:
+    """``values`` as a float64 array; a NaN or an infinity, which scipy
+    would turn into a NaN statistic or a RuntimeWarning, raises EvalError
+    naming the sample and the position."""
+    x = np.asarray(list(values), dtype=np.float64)
+    flat = x.reshape(-1)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvalError(f"{name} holds a non-finite value ({flat[i]}) at position {i}")
+    return x
+
+
 def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
     """W statistic and p-value from ``scipy.stats.shapiro``.  Fewer than 3
-    observations (scipy raises ValueError), more than 5000 or a range under
-    1e-19 (scipy warns and returns a number) raise EvalError before the call."""
-    x = np.asarray(list(sample), dtype=np.float64)
+    observations (scipy raises ValueError), a NaN or an infinity, more than
+    5000 observations or a range under 1e-19 (scipy warns or returns a
+    NaN) raise EvalError before the call."""
+    x = _finite_sample(sample, "sample")
     if x.size < 3:
         raise EvalError("need at least 3 observations")
     if x.size > 5000:
@@ -210,8 +224,8 @@ def shapiro_wilk(sample: Iterable[float]) -> ShapiroResult:
 
 
 def _paired_differences(a: Iterable[float], b: Iterable[float]) -> np.ndarray:
-    a = np.asarray(list(a), dtype=np.float64)
-    b = np.asarray(list(b), dtype=np.float64)
+    a = _finite_sample(a, "sample a")
+    b = _finite_sample(b, "sample b")
     if a.shape != b.shape or a.ndim != 1:
         raise EvalError(f"paired samples differ in shape: {a.shape} vs {b.shape}")
     if a.size < 2:
@@ -239,7 +253,8 @@ def compare_runs(
 ) -> ComparisonReport:
     """Normality check on each per-fold sample, then the paired t-test.
 
-    Samples of unequal length or with fewer than 2 pairs raise EvalError.
+    Samples of unequal length, with fewer than 2 pairs or holding a NaN or
+    an infinity raise EvalError.
     Other degenerate inputs are reported instead of raised: a zero-variance
     sample leaves its normality flag undetermined, and paired differences
     of zero variance leave no test statistic, with identical=True only

@@ -9,8 +9,13 @@ interpretable as annotator agreement fractions.  The builder refuses
 input that breaks either of these two rules.
 
 The graph is built once (from a JSON-lines file or programmatically) and is
-immutable by convention afterwards; adjacency is finalized lazily and reads
-are safe from concurrent workers.
+immutable by convention afterwards; adjacency, and an index view of it for
+random walks, are finalized lazily and reads are safe from concurrent
+workers.  Node tokens are "S#<lang>#<id>" / "L#<lang>#<id>"; relation
+tokens are "r" + optional "i" (inter-lingual) + endpoint category + "#" +
+relation name, e.g. "rSS#hyponymy" or "riSS#synonymy-il".  Relation tokens
+identify the relation type only, not the individual edge, and are
+direction-independent.
 """
 
 from __future__ import annotations
@@ -89,6 +94,31 @@ class Edge(NamedTuple):
     rel: RelationType
 
 
+def node_token(node: NodeId) -> str:
+    return f"{_KIND_LETTER[node.kind]}#{node.lang}#{node.id}"
+
+
+def edge_token(edge: Edge) -> str:
+    inter = "i" if edge.rel.interlingual else ""
+    return f"r{inter}{edge.rel.category}#{edge.rel.name}"
+
+
+class WalkView(NamedTuple):
+    """The graph as index lists, for random walks.
+
+    Node i is ``nodes[i]`` (in sorted order), with token ``tokens[i]`` and
+    language ``langs[i]``; ``adjacent[i]`` lists its `adjacency` entries,
+    in the same order, as (relation token, neighbor index).  Equal tokens
+    are one string object.
+    """
+
+    nodes: list[NodeId]
+    index: dict[NodeId, int]
+    tokens: list[str]
+    langs: list[str]
+    adjacent: list[list[tuple[str, int]]]
+
+
 def _expected_kinds(category: str) -> tuple[str, str]:
     return _LETTER_KIND[category[0]], _LETTER_KIND[category[1]]
 
@@ -128,6 +158,7 @@ class WordNetGraph:
     _adjacency: dict[NodeId, list[tuple[Edge, NodeId]]] | None = field(
         default=None, repr=False, compare=False
     )
+    _walk_view: WalkView | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, node: NodeId, lemma: str | None = None) -> None:
         if node.kind not in NODE_KINDS:
@@ -141,7 +172,7 @@ class WordNetGraph:
         self.nodes.add(node)
         if lemma is not None:
             self.lemmas[node] = lemma
-        self._adjacency = None
+        self._adjacency = self._walk_view = None
 
     def add_edge(self, edge: Edge) -> None:
         if edge.rel.category not in EDGE_CATEGORIES:
@@ -164,7 +195,7 @@ class WordNetGraph:
                 f"({edge.src.lang} -> {edge.dst.lang})"
             )
         self.edges.append(edge)
-        self._adjacency = None
+        self._adjacency = self._walk_view = None
 
     def set_annotation(self, node: NodeId, values: Iterable[float]) -> None:
         self.annotations[node] = self._checked_annotation(node, values)
@@ -191,6 +222,24 @@ class WordNetGraph:
         if self._adjacency is None:
             self._adjacency = self._build_adjacency()
         return self._adjacency
+
+    @property
+    def walk_view(self) -> WalkView:
+        if self._walk_view is None:
+            nodes = sorted(self.nodes)
+            index = {node: i for i, node in enumerate(nodes)}
+            relation_tokens: dict[RelationType, str] = {}
+            adjacent = []
+            for node in nodes:
+                entries = []
+                for e, m in self.adjacency[node]:
+                    if e.rel not in relation_tokens:
+                        relation_tokens[e.rel] = edge_token(e)
+                    entries.append((relation_tokens[e.rel], index[m]))
+                adjacent.append(entries)
+            tokens = [node_token(node) for node in nodes]
+            self._walk_view = WalkView(nodes, index, tokens, [n.lang for n in nodes], adjacent)
+        return self._walk_view
 
     def neighbors(self, node: NodeId) -> list[tuple[Edge, NodeId]]:
         """All incident edges of ``node``, both directions, in deterministic

@@ -272,30 +272,47 @@ def binarize(y: np.ndarray) -> np.ndarray:
     return np.asarray(y) >= 0.5
 
 
-def fvu_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    loss, _ = fvu_loss_and_grad(pred, target)
-    return loss
+def _fvu_denominators(target: np.ndarray) -> np.ndarray:
+    """Per-dimension FVU denominators of float64 ``target`` rows: SS_tot,
+    or the row count n (MSE) for a dimension whose variance is below
+    VARIANCE_EPS."""
+    n = target.shape[0]
+    # np.mean's arithmetic (sum, then divide) without its overhead
+    ss_tot = np.add.reduce(np.square(target - np.add.reduce(target, axis=0) / n), axis=0)
+    return np.where(ss_tot / n < VARIANCE_EPS, n, ss_tot)
+
+
+def _fvu_parts(
+    pred: np.ndarray, target: np.ndarray, denom: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """FVU loss, float64 residuals pred - target and the denominators;
+    ``denom`` is the target's `_fvu_denominators`, when the caller keeps
+    them."""
+    pred = np.asarray(pred)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape or pred.ndim != 2:
+        raise MLPError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+    if pred.shape[0] < 2:
+        raise MLPError("FVU needs a batch of at least 2 samples")
+    if denom is None:
+        denom = _fvu_denominators(target)
+    resid = np.subtract(pred, target, dtype=np.float64)
+    ss_res = np.add.reduce(np.square(resid), axis=0)
+    return float(np.add.reduce(ss_res / denom) / denom.size), resid, denom
+
+
+def fvu_loss(pred: np.ndarray, target: np.ndarray, denom: np.ndarray | None = None) -> float:
+    """`fvu_loss_and_grad`'s loss, without the gradient."""
+    return _fvu_parts(pred, target, denom)[0]
 
 
 def fvu_loss_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over dimensions of SS_res/SS_tot, with an MSE fallback for
     batch-constant target dimensions; gradient is w.r.t. pred, in float64."""
-    pred = np.asarray(pred)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim != 2:
-        raise MLPError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    n, dims = pred.shape
-    if n < 2:
-        raise MLPError("FVU needs a batch of at least 2 samples")
-    resid = np.subtract(pred, target, dtype=np.float64)
-    ss_res = np.add.reduce(np.square(resid), axis=0)
-    ss_tot = np.add.reduce(np.square(target - target.mean(axis=0)), axis=0)
-    # a constant dimension divides by n (MSE), any other by SS_tot
-    denom = np.where(ss_tot / n < VARIANCE_EPS, n, ss_tot)
-    loss = float((ss_res / denom).mean())
+    loss, resid, denom = _fvu_parts(pred, target)
     # scaled twice, as (2/dims) * resid * (1/denom); one division by
     # denom * dims / 2 would round differently
-    resid *= 2.0 / dims
+    resid *= 2.0 / denom.size
     resid *= 1.0 / denom
     return loss, resid
 
@@ -351,7 +368,7 @@ def _backward(
             size = (e - r) * fan_out
             np.matmul(a[:, r:e].T, delta, out=scratch[:size].reshape(e - r, fan_out))
             if e == fan_in:
-                delta.sum(axis=0, out=scratch[size : size + fan_out])
+                np.add.reduce(delta, axis=0, out=scratch[size : size + fan_out])
                 size += fan_out
             consume(starts[li] + r * fan_out, scratch[:size])
         delta = d_in
@@ -449,12 +466,14 @@ def train_mlp(
     train_history: list[float] = []
     val_history: list[float] = []
     n = x_train.shape[0]
+    blocks = _batch_slices(n, cfg.batch_size)
+    val_denom = _fvu_denominators(y_val)
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
-        for block in _batch_slices(n, cfg.batch_size):
+        for block in blocks:
             idx = order[block]
             masks = make_dropout_masks(cfg, len(idx), rng)
             step += 1
@@ -491,7 +510,7 @@ def train_mlp(
             n_batches += 1
         train_history.append(epoch_loss / max(1, n_batches))
 
-        val_loss = fvu_loss(_forward(model, x_val, None)[-1], y_val)
+        val_loss = fvu_loss(_forward(model, x_val, None)[-1], y_val, val_denom)
         if not np.isfinite(val_loss):
             raise MLPError(f"non-finite validation loss at epoch {epoch}")
         val_history.append(val_loss)

@@ -1,8 +1,9 @@
-"""Shared builders for the test suite: tiny graphs, annotation vectors and
-a lookup-only embedding stand-in."""
+"""Shared builders for the test suite: tiny graphs, annotation vectors,
+a lookup-only embedding stand-in and the SGNS loss of one window."""
 
 import numpy as np
 
+from emoprop.embed import sgns_loss
 from emoprop.graph import (
     LEXICAL_UNIT,
     NUM_DIMENSIONS,
@@ -32,6 +33,13 @@ def ann(*indices, value=1.0):
     for i in indices:
         v[i] = value
     return v
+
+
+def window_loss(center, rows, n_pos):
+    """`sgns_loss` of one center's window: ``rows`` lists its ``n_pos``
+    contexts first, then the negatives."""
+    signs = np.repeat([-1.0, 1.0], [n_pos, len(rows) - n_pos])
+    return sgns_loss(rows @ center, signs)
 
 
 def chain_graph(n_synsets=3, lus_per=1, lang="pl"):

@@ -8,6 +8,7 @@ import pytest
 from emoprop.corpus import (
     CorpusConfig,
     WalkCorpus,
+    _walk_rng,
     edge_token,
     generate_corpus,
     load_corpus_sequences,
@@ -142,7 +143,80 @@ class TestRandomWalk:
             random_walk(g, synset(0), 0, np.random.default_rng(0))
 
 
+def _reference_walk(g, start, length, rng, cross_lingual):
+    """The walk as first written, on `NodeId`s and the adjacency lists,
+    formatting each token as it goes.  Walks must reproduce its tokens."""
+    tokens = [node_token(start)]
+    visited = {start}
+    current = start
+    for _ in range(length - 1):
+        admissible = [
+            (e, m)
+            for e, m in g.adjacency[current]
+            if m not in visited and (cross_lingual or m.lang == current.lang)
+        ]
+        if not admissible:
+            break
+        edge, nxt = admissible[rng.integers(len(admissible))]
+        tokens.append(edge_token(edge))
+        tokens.append(node_token(nxt))
+        visited.add(nxt)
+        current = nxt
+    return tokens
+
+
+def _reference_corpus(g, cfg):
+    candidates = sorted(g.nodes)
+    sequences = []
+    for i in range(cfg.num_walks):
+        rng = _walk_rng(cfg.seed, i)
+        start = candidates[rng.integers(len(candidates))]
+        sequences.append(_reference_walk(g, start, cfg.length, rng, cfg.cross_lingual))
+    return sequences
+
+
 class TestGenerateCorpus:
+    @pytest.mark.parametrize(
+        "synth, cross_lingual",
+        [
+            (SynthConfig(communities=3, synsets_per_community=6, lus_per_synset=3, seed=2), True),
+            (SynthConfig(communities=3, synsets_per_community=6, lus_per_synset=3, seed=2), False),
+            (
+                SynthConfig(
+                    communities=2,
+                    synsets_per_community=8,
+                    lus_per_synset=1,
+                    languages=("pl", "en", "de"),
+                    intra_probability=0.15,
+                    seed=4,
+                ),
+                True,
+            ),
+        ],
+        ids=["bilingual", "monolingual", "three-languages"],
+    )
+    def test_matches_reference_walks(self, synth, cross_lingual):
+        g = generate(synth)
+        cfg = CorpusConfig(num_walks=400, length=12, cross_lingual=cross_lingual, seed=3)
+        corpus = generate_corpus(g, cfg)
+        reference = _reference_corpus(g, cfg)
+        assert corpus.sequences == reference
+        # walks stop at many depths, and cross-lingual ones change language
+        assert len({len(seq) for seq in reference}) >= 5
+        langs = [{tok.split("#")[1] for tok in seq[0::2]} for seq in reference]
+        assert max(map(len, langs)) == (len(synth.languages) if cross_lingual else 1)
+
+    def test_walk_view_follows_graph_edits(self):
+        """The index view is rebuilt after a node or edge is added."""
+        g = _path_graph()
+        assert g.walk_view.tokens == ["S#pl#0", "S#pl#1", "S#pl#2"]
+        g.add_node(synset(3))
+        g.add_edge(Edge(synset(2), synset(3), HYPO))
+        tokens = random_walk(g, synset(0), 10, np.random.default_rng(0))
+        assert tokens[-1] == "S#pl#3"
+        assert g.walk_view.adjacent[3] == [("rSS#hyponymy", 2)]
+
+
     def test_single_node_graph(self):
         g = WordNetGraph()
         g.add_node(lu(3, "en"))

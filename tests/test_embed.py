@@ -14,11 +14,13 @@ from emoprop.embed import (
     cosine,
     load_embeddings,
     save_embeddings,
-    sgns_loss_and_grads,
+    sgns_grads,
+    sgns_loss,
     token_ngrams,
     train_embeddings,
 )
 from emoprop.synth import SynthConfig, generate
+from helpers import window_loss
 
 
 class TestEmbedConfig:
@@ -87,14 +89,32 @@ class TestTokenNgrams:
         assert "<ab>" not in token_ngrams("ab", 3, 6)
 
 
+def _reference_kernel(center, rows, n_pos):
+    """The window kernel as first written: the loss as two sums and the
+    sigmoid clipped to [-60, 60]."""
+
+    def _sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+    def _log_sigmoid(x):
+        return -np.logaddexp(0.0, -x)
+
+    dots = rows @ center
+    loss = -float(np.sum(_log_sigmoid(dots[:n_pos])) + np.sum(_log_sigmoid(-dots[n_pos:])))
+    coef = _sigmoid(dots)
+    coef[:n_pos] -= 1.0
+    return loss, coef @ rows, coef[:, None] * center
+
+
 class TestSgnsGradients:
     def test_zero_center_loss(self):
         """With a zero center vector every dot product is 0; sigmoid gives 1/2."""
         rng = np.random.default_rng(0)
         for n_pos in range(1, 5):
             rows = rng.normal(size=(5 * n_pos, 8))
-            loss, d_c, d_rows = sgns_loss_and_grads(np.zeros(8), rows, n_pos)
-            assert loss == pytest.approx(len(rows) * np.log(2.0), rel=1e-12)
+            center = np.zeros(8)
+            d_c, d_rows = sgns_grads(center, rows, rows @ center, n_pos)
+            assert window_loss(center, rows, n_pos) == pytest.approx(len(rows) * np.log(2.0), rel=1e-12)
             assert np.array_equal(d_rows, np.zeros_like(rows))
 
     def test_gradients_match_finite_differences(self):
@@ -104,14 +124,14 @@ class TestSgnsGradients:
             n_pos = 1 + trial % 4
             center = rng.normal(scale=0.5, size=8)
             rows = rng.normal(scale=0.5, size=(5 * n_pos, 8))
-            _, d_c, d_rows = sgns_loss_and_grads(center, rows, n_pos)
+            d_c, d_rows = sgns_grads(center, rows, rows @ center, n_pos)
             for arr, grad in ((center, d_c), (rows, d_rows)):
                 for idx in np.ndindex(arr.shape):
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    lp = sgns_loss_and_grads(center, rows, n_pos)[0]
+                    lp = window_loss(center, rows, n_pos)
                     arr[idx] = orig - h
-                    lm = sgns_loss_and_grads(center, rows, n_pos)[0]
+                    lm = window_loss(center, rows, n_pos)
                     arr[idx] = orig
                     fd = (lp - lm) / (2 * h)
                     a = grad[idx]
@@ -132,30 +152,54 @@ class TestSgnsGradients:
             log_sig_pos = -np.logaddexp(0.0, -dots[:n_pos])
             log_sig_neg = -np.logaddexp(0.0, dots[n_pos:])
             expected = -(np.sum(log_sig_pos) + np.sum(log_sig_neg))
-            loss = sgns_loss_and_grads(center, rows, n_pos)[0]
-            assert loss == pytest.approx(expected, rel=1e-12)
+            assert window_loss(center, rows, n_pos) == pytest.approx(expected, rel=1e-12)
         assert largest > 60.0
+
+    def test_walk_loss_is_the_sum_of_window_losses(self):
+        """Training's one `sgns_loss` call over a walk's interleaved
+        windows, signs from the walk plan, equals the windows' losses
+        summed, up to summation order."""
+        rng = np.random.default_rng(12)
+        pos, signs, spans = emoprop.embed._walk_plan(7, 2, 3)
+        dots = rng.normal(scale=3.0, size=len(pos))
+        windows = 0.0
+        for n_ctx, start, end in spans:
+            assert list(signs[start:end]) == [-1.0] * n_ctx + [1.0] * (end - start - n_ctx)
+            windows += sgns_loss(dots[start:end], signs[start:end])
+        assert sgns_loss(dots, signs) == pytest.approx(windows, rel=1e-12)
+
+    def test_grads_match_the_clipped_reference_bit_for_bit(self):
+        """Without the clip at +60 the gradients keep every bit of the
+        kernel that clips to [-60, 60], on rows scaled so the dot products
+        pass +-60 and +-710 (where exp overflows), and on inf and NaN."""
+        rng = np.random.default_rng(13)
+        reached = np.zeros(4, dtype=bool)
+        for trial in range(60):
+            n_pos = 1 + trial % 4
+            scale = (1.0, 4.0, 12.0)[trial % 3]
+            center = rng.normal(scale=scale, size=10)
+            rows = rng.normal(scale=scale, size=(5 * n_pos, 10))
+            dots = rows @ center
+            reached |= [dots.max() > 60, dots.min() < -60, dots.max() > 710, dots.min() < -710]
+            _, want_c, want_rows = _reference_kernel(center, rows, n_pos)
+            d_c, d_rows = sgns_grads(center, rows, dots, n_pos)
+            assert np.array_equal(d_c, want_c)
+            assert np.array_equal(d_rows, want_rows)
+        assert reached.all()
+        center = np.ones(3)
+        rows = np.array([[np.inf, 0, 0], [-np.inf, 0, 0], [np.nan, 0, 0], [1e308, 1e308, 0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, want_c, want_rows = _reference_kernel(center, rows, 2)
+            d_c, d_rows = sgns_grads(center, rows, rows @ center, 2)
+        assert np.array_equal(d_c, want_c, equal_nan=True)
+        assert np.array_equal(d_rows, want_rows, equal_nan=True)
 
 
 def _reference_train(sequences, cfg):
     """Per-center SGNS as first written: a 2-D ``np.add.at`` scatter, one
-    ``rng.random`` call per center, the loss as two sums and the subword
+    ``rng.random`` call per center, `_reference_kernel` and the subword
     update applied row by row.  Training must reproduce its vectors bit
     for bit."""
-
-    def _sigmoid(x):
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-    def _log_sigmoid(x):
-        return -np.logaddexp(0.0, -x)
-
-    def kernel(center, rows, n_pos):
-        dots = rows @ center
-        loss = -float(np.sum(_log_sigmoid(dots[:n_pos])) + np.sum(_log_sigmoid(-dots[n_pos:])))
-        coef = _sigmoid(dots)
-        coef[:n_pos] -= 1.0
-        return loss, coef @ rows, coef[:, None] * center
-
     vocab = build_vocab(sequences, cfg.min_count)
     rng = np.random.default_rng(cfg.seed)
     n_tokens = len(vocab)
@@ -223,7 +267,7 @@ def _reference_train(sequences, cfg):
 
                 neg = np.searchsorted(cdf, rng.random(n_ctx * k))
                 idx = np.concatenate((ctx, neg))
-                loss, d_center, d_rows = kernel(v, output_vectors[idx], n_ctx)
+                loss, d_center, d_rows = _reference_kernel(v, output_vectors[idx], n_ctx)
                 epoch_loss += loss
                 np.add.at(output_vectors, idx, -lr * d_rows)
                 if in_rows is not None:
@@ -285,19 +329,31 @@ class TestTraining:
         assert a.loss_history == b.loss_history
 
     def test_trains_through_the_checked_kernel(self, monkeypatch):
-        """Each center with a context is one call of the kernel that the
-        gradient checks test, covering every planned pair."""
+        """Each center with a context is one `sgns_grads` call, covering
+        every planned pair, on the dot products of its window; each walk
+        is one `sgns_loss` call on the dot products of all its windows, the
+        ones its `sgns_grads` calls saw."""
         seqs = _tiny_corpus() + [["X", "Y", "Z", "W", "X"], ["W"]]
         cfg = EmbedConfig(dim=8, window=2, epochs=3, seed=5)
         plain = train_embeddings(seqs, cfg)
         n_pos_seen = []
+        grads_dots = []
+        loss_dots = []
 
-        def counted(center, rows, n_pos):
+        def counted_grads(center, rows, dots, n_pos):
+            assert np.array_equal(dots, rows @ center)
             n_pos_seen.append(n_pos)
-            return sgns_loss_and_grads(center, rows, n_pos)
+            grads_dots.append(dots.copy())
+            return sgns_grads(center, rows, dots, n_pos)
 
-        monkeypatch.setattr(emoprop.embed, "sgns_loss_and_grads", counted)
+        def counted_loss(dots, signs):
+            loss_dots.append(dots.copy())
+            return sgns_loss(dots, signs)
+
+        monkeypatch.setattr(emoprop.embed, "sgns_grads", counted_grads)
+        monkeypatch.setattr(emoprop.embed, "sgns_loss", counted_loss)
         wrapped = train_embeddings(seqs, cfg)
+        walks = sum(len(seq) >= 2 for seq in seqs)
         centers = sum(len(seq) for seq in seqs if len(seq) >= 2)
         pairs = sum(
             min(i, cfg.window) + min(len(seq) - 1 - i, cfg.window)
@@ -306,6 +362,8 @@ class TestTraining:
         )
         assert len(n_pos_seen) == centers * cfg.epochs
         assert sum(n_pos_seen) == pairs * cfg.epochs
+        assert len(loss_dots) == walks * cfg.epochs
+        assert np.array_equal(np.concatenate(loss_dots), np.concatenate(grads_dots))
         assert np.array_equal(wrapped.input_vectors, plain.input_vectors)
         assert np.array_equal(wrapped.output_vectors, plain.output_vectors)
         assert wrapped.loss_history == plain.loss_history

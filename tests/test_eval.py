@@ -201,6 +201,11 @@ class TestShapiroWilk:
         got = shapiro_wilk(np.arange(5000, dtype=float) ** 2)
         assert 0.0 < got.statistic < 1.0 and 0.0 <= got.pvalue < 0.05
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(EvalError, match=rf"sample holds a non-finite value \({bad}\) at position 2"):
+            shapiro_wilk([0.5, 0.6, bad, 0.7])
+
 
 @pytest.mark.filterwarnings("error")
 class TestPairedTTest:
@@ -247,6 +252,14 @@ class TestPairedTTest:
         with pytest.raises(EvalError, match="at least 2"):
             paired_t_test([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        clean = [0.4, 0.5, 0.6, 0.65]
+        with pytest.raises(EvalError, match=rf"sample a holds a non-finite value \({bad}\) at position 2"):
+            paired_t_test([0.5, 0.6, bad, 0.7], clean)
+        with pytest.raises(EvalError, match=rf"sample b holds a non-finite value \({bad}\) at position 0"):
+            paired_t_test(clean, [bad, 0.6, 0.6, 0.7])
+
 
 @pytest.mark.filterwarnings("error")
 class TestCompareRuns:
@@ -287,6 +300,18 @@ class TestCompareRuns:
             compare_runs([0.5, 0.6, 0.7, 0.8], [0.5, 0.6, 0.7])
         with pytest.raises(EvalError, match="at least 2 pairs"):
             compare_runs([0.5], [0.6])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        """A NaN used to come back as W = nan and t = nan, and an infinity
+        as a RuntimeWarning from the subtraction."""
+        clean = [0.4, 0.5, 0.6, 0.65]
+        with pytest.raises(EvalError, match=rf"sample a holds a non-finite value \({bad}\) at position 2"):
+            compare_runs([0.5, 0.6, bad, 0.7], clean)
+        with pytest.raises(EvalError, match=rf"sample b holds a non-finite value \({bad}\) at position 3"):
+            compare_runs(clean, [0.5, 0.6, 0.7, bad])
+        with pytest.raises(EvalError, match="sample a holds"):
+            compare_runs([bad] * 4, [bad] * 4)
 
     def test_constant_sample_undetermined(self):
         report = compare_runs([0.5] * 5, [0.1, 0.4, 0.2, 0.5, 0.3])

@@ -693,6 +693,28 @@ class TestTraining:
         assert report5.best_epoch == report.best_epoch
         assert report5.epochs_run == report5.best_epoch + 5
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            MLPConfig(variant="base", input_dim=10, batch_size=16, max_epochs=1, seed=2),
+            MLPConfig(
+                variant="deep", input_dim=10, hidden_dims=(40, 20), dropout=0.3,
+                batch_size=32, max_epochs=1, seed=5,
+            ),
+        ],
+        ids=["base", "deep"],
+    )
+    def test_validation_loss_is_the_eval_mode_fvu(self, cfg):
+        """The per-epoch validation loss, computed with denominators kept
+        from before the first epoch, is bit for bit `fvu_loss` of the
+        eval-mode forward pass, also with a constant target dimension."""
+        x_tr, y_tr, x_va, y_va = _split_task(seed=6)
+        y_va[:, 3] = 0.5
+        model, report = train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        assert report.epochs_run == 1
+        assert report.val_history[0] == fvu_loss(predict(model, x_va), y_va)
+        assert report.best_val_loss == report.val_history[0]
+
     def test_best_weights_restored(self):
         rng = np.random.default_rng(5)
         x_tr = rng.normal(size=(12, 6))
