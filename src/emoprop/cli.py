@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 import textwrap
 
@@ -23,9 +21,6 @@ type: integers as integers, true/false for booleans):
 
 stages:
 {stages}
-
-environment:
-  EMOPROP_LOG sets the log level (DEBUG, INFO, WARNING, ERROR)
 """
 
 
@@ -75,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=os.environ.get("EMOPROP_LOG", "WARNING").upper())
     try:
         cfg = parse_config(args.config)
         if args.out_dir is not None:

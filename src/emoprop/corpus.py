@@ -3,7 +3,7 @@
 A walk visits up to a fixed number of nodes, never revisiting one within a
 sequence, and records alternating node and relation tokens, in the formats
 of `node_token` and `edge_token` (see the graph module).  Walks run on the
-graph's index view (`WordNetGraph.walk_view`), built once per graph.
+graph's adjacency, its index view `WordNetGraph.walk_view`.
 
 Each walk draws from its own counter-split RNG stream, so generation is a
 pure function of (graph, parameters, seed) and parallel scheduling could
@@ -73,14 +73,14 @@ def random_walk(
     for _ in range(length - 1):
         lang = view.langs[current]
         admissible = [
-            (rel, m)
-            for rel, m in view.adjacent[current]
+            (e, m)
+            for e, m in view.adjacent[current]
             if m not in visited and (cross_lingual or view.langs[m] == lang)
         ]
         if not admissible:
             break
-        rel, current = admissible[rng.integers(len(admissible))]
-        tokens.append(rel)
+        e, current = admissible[rng.integers(len(admissible))]
+        tokens.append(view.relation_tokens[e.rel])
         tokens.append(view.tokens[current])
         visited.add(current)
     return tokens

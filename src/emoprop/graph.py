@@ -9,13 +9,15 @@ interpretable as annotator agreement fractions.  The builder refuses
 input that breaks either of these two rules.
 
 The graph is built once (from a JSON-lines file or programmatically) and is
-immutable by convention afterwards; adjacency, and an index view of it for
-random walks, are finalized lazily and reads are safe from concurrent
-workers.  Node tokens are "S#<lang>#<id>" / "L#<lang>#<id>"; relation
-tokens are "r" + optional "i" (inter-lingual) + endpoint category + "#" +
-relation name, e.g. "rSS#hyponymy" or "riSS#synonymy-il".  Relation tokens
-identify the relation type only, not the individual edge, and are
-direction-independent.
+immutable by convention afterwards; its adjacency, the index view that
+walks, the propagation BFS and `neighbors` read, is finalized lazily and
+reads are safe from concurrent workers.  Node tokens are "S#<lang>#<id>" /
+"L#<lang>#<id>"; relation tokens are "r" + optional "i" (inter-lingual) +
+endpoint category + "#" + relation name, e.g. "rSS#hyponymy" or
+"riSS#synonymy-il".  Relation tokens identify the relation type only, not
+the individual edge, and are direction-independent.  Language codes and
+relation names hold no whitespace, so every token survives the
+space-separated corpus file.
 """
 
 from __future__ import annotations
@@ -104,19 +106,20 @@ def edge_token(edge: Edge) -> str:
 
 
 class WalkView(NamedTuple):
-    """The graph as index lists, for random walks.
+    """The graph's adjacency, as index lists.
 
     Node i is ``nodes[i]`` (in sorted order), with token ``tokens[i]`` and
-    language ``langs[i]``; ``adjacent[i]`` lists its `adjacency` entries,
-    in the same order, as (relation token, neighbor index).  Equal tokens
-    are one string object.
+    language ``langs[i]``; ``adjacent[i]`` lists its incident edges, both
+    directions, as (edge, neighbor index) sorted by neighbor, then relation
+    name.  ``relation_tokens`` holds one `edge_token` per relation type.
     """
 
     nodes: list[NodeId]
     index: dict[NodeId, int]
     tokens: list[str]
     langs: list[str]
-    adjacent: list[list[tuple[str, int]]]
+    adjacent: list[list[tuple[Edge, int]]]
+    relation_tokens: dict[RelationType, str]
 
 
 def _expected_kinds(category: str) -> tuple[str, str]:
@@ -155,9 +158,6 @@ class WordNetGraph:
     edges: list[Edge] = field(default_factory=list)
     annotations: dict[NodeId, np.ndarray] = field(default_factory=dict)
     lemmas: dict[NodeId, str] = field(default_factory=dict)
-    _adjacency: dict[NodeId, list[tuple[Edge, NodeId]]] | None = field(
-        default=None, repr=False, compare=False
-    )
     _walk_view: WalkView | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, node: NodeId, lemma: str | None = None) -> None:
@@ -165,20 +165,21 @@ class WordNetGraph:
             raise GraphError(f"unknown node kind {node.kind!r}")
         if node.id < 0:
             raise GraphError(f"node id must be unsigned, got {node.id}")
-        if not node.lang or not node.lang.isascii() or node.lang != node.lang.lower():
-            raise GraphError(f"bad language code {node.lang!r}")
+        lang = node.lang
+        if lang.split() != [lang] or not lang.isascii() or lang != lang.lower():
+            raise GraphError(f"bad language code {lang!r}")
         if node in self.nodes:
             raise GraphError(f"duplicate node {node}")
         self.nodes.add(node)
         if lemma is not None:
             self.lemmas[node] = lemma
-        self._adjacency = self._walk_view = None
+        self._walk_view = None
 
     def add_edge(self, edge: Edge) -> None:
         if edge.rel.category not in EDGE_CATEGORIES:
             raise GraphError(f"bad edge category {edge.rel.category!r}")
-        if not edge.rel.name:
-            raise GraphError("empty relation name")
+        if edge.rel.name.split() != [edge.rel.name]:
+            raise GraphError(f"relation name must be one word, got {edge.rel.name!r}")
         if edge.src not in self.nodes:
             raise GraphError(f"unknown endpoint {edge.src}")
         if edge.dst not in self.nodes:
@@ -195,7 +196,7 @@ class WordNetGraph:
                 f"({edge.src.lang} -> {edge.dst.lang})"
             )
         self.edges.append(edge)
-        self._adjacency = self._walk_view = None
+        self._walk_view = None
 
     def set_annotation(self, node: NodeId, values: Iterable[float]) -> None:
         self.annotations[node] = self._checked_annotation(node, values)
@@ -208,37 +209,23 @@ class WordNetGraph:
             raise GraphError(f"annotation target {node} is not a lexical unit")
         return validate_annotation(values, where=f"annotation for {node}")
 
-    def _build_adjacency(self) -> dict[NodeId, list[tuple[Edge, NodeId]]]:
-        adj: dict[NodeId, list[tuple[Edge, NodeId]]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.src].append((e, e.dst))
-            adj[e.dst].append((e, e.src))
-        for entries in adj.values():
-            entries.sort(key=lambda pair: (pair[1], pair[0].rel.name))
-        return adj
-
-    @property
-    def adjacency(self) -> dict[NodeId, list[tuple[Edge, NodeId]]]:
-        if self._adjacency is None:
-            self._adjacency = self._build_adjacency()
-        return self._adjacency
-
     @property
     def walk_view(self) -> WalkView:
         if self._walk_view is None:
             nodes = sorted(self.nodes)
             index = {node: i for i, node in enumerate(nodes)}
-            relation_tokens: dict[RelationType, str] = {}
-            adjacent = []
-            for node in nodes:
-                entries = []
-                for e, m in self.adjacency[node]:
-                    if e.rel not in relation_tokens:
-                        relation_tokens[e.rel] = edge_token(e)
-                    entries.append((relation_tokens[e.rel], index[m]))
-                adjacent.append(entries)
+            adjacent: list[list[tuple[Edge, int]]] = [[] for _ in nodes]
+            for e in self.edges:
+                src, dst = index[e.src], index[e.dst]
+                adjacent[src].append((e, dst))
+                adjacent[dst].append((e, src))
+            one_edge_per_relation = {e.rel: e for e in self.edges}.values()
+            relation_tokens = {e.rel: edge_token(e) for e in one_edge_per_relation}
+            for entries in adjacent:
+                entries.sort(key=lambda entry: (entry[1], entry[0].rel.name))
             tokens = [node_token(node) for node in nodes]
-            self._walk_view = WalkView(nodes, index, tokens, [n.lang for n in nodes], adjacent)
+            langs = [node.lang for node in nodes]
+            self._walk_view = WalkView(nodes, index, tokens, langs, adjacent, relation_tokens)
         return self._walk_view
 
     def neighbors(self, node: NodeId) -> list[tuple[Edge, NodeId]]:
@@ -246,7 +233,8 @@ class WordNetGraph:
         order (neighbor (kind, id, lang), then relation name)."""
         if node not in self.nodes:
             raise GraphError(f"unknown node {node}")
-        return list(self.adjacency[node])
+        view = self.walk_view
+        return [(e, view.nodes[m]) for e, m in view.adjacent[view.index[node]]]
 
     def synsets(self) -> list[NodeId]:
         return sorted(n for n in self.nodes if n.kind == SYNSET)

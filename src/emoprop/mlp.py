@@ -96,8 +96,8 @@ class MLPConfig:
             raise MLPError("patience must be >= 1")
         if self.max_epochs < 1:
             raise MLPError("max_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise MLPError("batch_size must be >= 1")
+        if self.batch_size < 2:
+            raise MLPError("batch_size must be >= 2")
         if self.learning_rate <= 0.0:
             raise MLPError("learning_rate must be positive")
         if self.seed < 0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from itertools import accumulate
@@ -29,8 +28,6 @@ from .graph import WordNetGraph, parse_wordnet_file, write_wordnet_file
 from .mlp import MLPConfig, save_model, train_mlp
 from .propagate import propagate, require_embeddings, save_propagation, training_set
 from .synth import SynthConfig, generate
-
-log = logging.getLogger(__name__)
 
 # artifact name -> its file in out_dir (a config "graph" path replaces the graph's)
 ARTIFACTS = {
@@ -423,7 +420,6 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
     if key_matches and all(p.exists() for p in outputs) and cached == stamp():
         return f"{stage}: cached ({', '.join(sorted(map(str, outputs)))})", True
 
-    log.debug("running stage %s (key %s)", stage, key[:12])
     summary = f"{stage}: {spec.body(cfg, paths, key_config)} -> {outputs[0]}"
     stamp_path.parent.mkdir(parents=True, exist_ok=True)
     stamp_path.write_text(json.dumps(stamp(), indent=2) + "\n", encoding="utf-8")

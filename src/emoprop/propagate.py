@@ -16,7 +16,6 @@ labels and wave numbers are derived when it is written.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -78,7 +77,7 @@ def _check_disjoint(a: set[NodeId], b: Iterable[NodeId], what: str) -> None:
 def build_plan(
     g: WordNetGraph, seed: Iterable[NodeId], targets: Iterable[NodeId]
 ) -> PropagationPlan:
-    """Multi-source BFS from the seed over the full graph.
+    """Multi-source BFS from the seed over the full graph's index view.
 
     Wave k collects exactly the target LUs at shortest-path distance k
     from the nearest seed LU; waves with no targets are omitted.  Targets
@@ -90,27 +89,28 @@ def build_plan(
     _check_lu_nodes(g, sorted(seed_set), "seed")
     _check_lu_nodes(g, sorted(target_set), "target")
 
-    visited = set(seed_set)
-    frontier: deque[NodeId] = deque(sorted(seed_set))
-    remaining = set(target_set)
+    view = g.walk_view  # its indices follow sorted NodeId order
+    visited = {view.index[n] for n in seed_set}
+    frontier = sorted(visited)
+    remaining = {view.index[n] for n in target_set}
     waves: list[Wave] = []
     distance = 0
     while frontier and remaining:
         distance += 1
-        next_frontier: deque[NodeId] = deque()
-        for node in frontier:
-            for _edge, nb in g.neighbors(node):
-                if nb not in visited:
-                    visited.add(nb)
-                    next_frontier.append(nb)
-        hit = sorted(n for n in next_frontier if n in remaining)
+        next_frontier = []
+        for i in frontier:
+            for _edge, m in view.adjacent[i]:
+                if m not in visited:
+                    visited.add(m)
+                    next_frontier.append(m)
+        hit = sorted(m for m in next_frontier if m in remaining)
         if hit:
-            waves.append(Wave(distance=distance, lus=tuple(hit)))
+            waves.append(Wave(distance=distance, lus=tuple(view.nodes[m] for m in hit)))
             remaining.difference_update(hit)
         frontier = next_frontier
     return PropagationPlan(
         waves=waves,
-        unreachable=tuple(sorted(remaining)),
+        unreachable=tuple(view.nodes[m] for m in sorted(remaining)),
     )
 
 

@@ -42,6 +42,19 @@ def window_loss(center, rows, n_pos):
     return sgns_loss(rows @ center, signs)
 
 
+def reference_adjacency(g):
+    """Each node's incident (edge, neighbor) pairs, both directions, built
+    afresh from ``g.edges`` and sorted by neighbor, then relation name:
+    the order the graph's index view promises, derived without it."""
+    adj = {n: [] for n in g.nodes}
+    for e in g.edges:
+        adj[e.src].append((e, e.dst))
+        adj[e.dst].append((e, e.src))
+    for entries in adj.values():
+        entries.sort(key=lambda pair: (pair[1], pair[0].rel.name))
+    return adj
+
+
 def chain_graph(n_synsets=3, lus_per=1, lang="pl"):
     """Synset path S0-S1-...-S{n-1} with ``lus_per`` LUs hanging off each.
 

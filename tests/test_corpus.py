@@ -24,7 +24,7 @@ from emoprop.graph import (
     WordNetGraph,
 )
 from emoprop.synth import SynthConfig, generate
-from helpers import HYPO, lu, synset
+from helpers import HYPO, lu, reference_adjacency, synset
 
 NODE_RE = re.compile(r"^[SL]#[a-z]+#\d+$")
 EDGE_RE = re.compile(r"^ri?(SS|SL|LS|LL)#.+$")
@@ -143,16 +143,17 @@ class TestRandomWalk:
             random_walk(g, synset(0), 0, np.random.default_rng(0))
 
 
-def _reference_walk(g, start, length, rng, cross_lingual):
-    """The walk as first written, on `NodeId`s and the adjacency lists,
-    formatting each token as it goes.  Walks must reproduce its tokens."""
+def _reference_walk(adj, start, length, rng, cross_lingual):
+    """The walk as first written, on `NodeId`s and `reference_adjacency`
+    lists, formatting each token as it goes.  Walks must reproduce its
+    tokens."""
     tokens = [node_token(start)]
     visited = {start}
     current = start
     for _ in range(length - 1):
         admissible = [
             (e, m)
-            for e, m in g.adjacency[current]
+            for e, m in adj[current]
             if m not in visited and (cross_lingual or m.lang == current.lang)
         ]
         if not admissible:
@@ -166,12 +167,13 @@ def _reference_walk(g, start, length, rng, cross_lingual):
 
 
 def _reference_corpus(g, cfg):
+    adj = reference_adjacency(g)
     candidates = sorted(g.nodes)
     sequences = []
     for i in range(cfg.num_walks):
         rng = _walk_rng(cfg.seed, i)
         start = candidates[rng.integers(len(candidates))]
-        sequences.append(_reference_walk(g, start, cfg.length, rng, cfg.cross_lingual))
+        sequences.append(_reference_walk(adj, start, cfg.length, rng, cfg.cross_lingual))
     return sequences
 
 
@@ -211,11 +213,13 @@ class TestGenerateCorpus:
         g = _path_graph()
         assert g.walk_view.tokens == ["S#pl#0", "S#pl#1", "S#pl#2"]
         g.add_node(synset(3))
-        g.add_edge(Edge(synset(2), synset(3), HYPO))
+        edge = Edge(synset(2), synset(3), HYPO)
+        g.add_edge(edge)
         tokens = random_walk(g, synset(0), 10, np.random.default_rng(0))
         assert tokens[-1] == "S#pl#3"
-        assert g.walk_view.adjacent[3] == [("rSS#hyponymy", 2)]
-
+        view = g.walk_view
+        assert view.adjacent[3] == [(edge, 2)]
+        assert view.relation_tokens == {HYPO: "rSS#hyponymy"}
 
     def test_single_node_graph(self):
         g = WordNetGraph()

@@ -17,7 +17,8 @@ from emoprop.graph import (
     validate_annotation,
     write_wordnet_file,
 )
-from helpers import ANTONYMY_LL, HYPO, MEMBER, ann, chain_graph, lu, synset
+from emoprop.synth import SynthConfig, generate
+from helpers import ANTONYMY_LL, HYPO, MEMBER, ann, chain_graph, lu, reference_adjacency, synset
 
 
 class TestDimensions:
@@ -69,7 +70,7 @@ class TestGraphConstruction:
             WordNetGraph().add_node(synset(-1))
 
     def test_bad_language(self):
-        for lang in ("", "PL", "ünï"):
+        for lang in ("", "PL", "ünï", "p l"):
             with pytest.raises(GraphError, match="language"):
                 WordNetGraph().add_node(NodeId(SYNSET, 1, lang))
 
@@ -94,8 +95,9 @@ class TestGraphConstruction:
         g.add_node(synset(1))
         with pytest.raises(GraphError, match="category"):
             g.add_edge(Edge(synset(0), synset(1), RelationType("x", "SX", False)))
-        with pytest.raises(GraphError, match="relation name"):
-            g.add_edge(Edge(synset(0), synset(1), RelationType("", "SS", False)))
+        for name in ("", "is a"):
+            with pytest.raises(GraphError, match="relation name"):
+                g.add_edge(Edge(synset(0), synset(1), RelationType(name, "SS", False)))
 
     def test_annotation_only_on_lus(self):
         g = WordNetGraph()
@@ -178,6 +180,20 @@ def _write(tmp_path, text):
     path = tmp_path / "graph.jsonl"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+class TestWalkView:
+    def test_matches_reference_adjacency(self):
+        """`neighbors`, read from the index view, equals an adjacency built
+        from the edge list, with parallel edges, a self-loop and
+        inter-lingual edges."""
+        g = generate(SynthConfig(communities=2, synsets_per_community=5, lus_per_synset=2, seed=3))
+        g.add_edge(Edge(synset(0), synset(1), RelationType("alpha", "SS", False)))
+        g.add_edge(Edge(synset(1), synset(1), HYPO))
+        reference = reference_adjacency(g)
+        assert g.walk_view.nodes == sorted(reference)
+        for node in g.nodes:
+            assert g.neighbors(node) == reference[node]
 
 
 class TestParseAndWrite:

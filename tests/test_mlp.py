@@ -75,6 +75,7 @@ class TestConfig:
             {"patience": 0},
             {"max_epochs": 0},
             {"batch_size": 0},
+            {"batch_size": 1},
             {"learning_rate": 0.0},
             {"input_dim": 0},
         ],
