@@ -23,6 +23,8 @@ from .mlp import MLPConfig, binarize
 from .propagate import propagate, training_set
 
 NUM_FOLDS = 10
+# one fold validates on its own test block; two leave no training block
+MIN_FOLDS = 3
 DEFAULT_ALPHA = 0.05
 
 
@@ -93,6 +95,8 @@ def make_folds(lu_ids: Sequence, seed: int, n_folds: int = NUM_FOLDS) -> list[Fo
     """Shuffle, cut into n_folds contiguous blocks (sizes differ by at
     most 1), rotate test/val/train roles."""
     ids = list(lu_ids)
+    if n_folds < MIN_FOLDS:
+        raise EvalError(f"n_folds must be >= {MIN_FOLDS}, got {n_folds}")
     if len(ids) < n_folds:
         raise EvalError(f"need at least {n_folds} ids, got {len(ids)}")
     rng = np.random.default_rng(seed)

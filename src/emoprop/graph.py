@@ -10,8 +10,8 @@ input that breaks either of these two rules.
 
 The graph is built once (from a JSON-lines file or programmatically) and is
 immutable by convention afterwards; its adjacency, the index view that
-walks, the propagation BFS and `neighbors` read, is finalized lazily and
-reads are safe from concurrent workers.  Node tokens are "S#<lang>#<id>" /
+walks and the propagation BFS read, is finalized lazily and reads are
+safe from concurrent workers.  Node tokens are "S#<lang>#<id>" /
 "L#<lang>#<id>"; relation tokens are "r" + optional "i" (inter-lingual) +
 endpoint category + "#" + relation name, e.g. "rSS#hyponymy" or
 "riSS#synonymy-il".  Relation tokens identify the relation type only, not
@@ -227,14 +227,6 @@ class WordNetGraph:
             langs = [node.lang for node in nodes]
             self._walk_view = WalkView(nodes, index, tokens, langs, adjacent, relation_tokens)
         return self._walk_view
-
-    def neighbors(self, node: NodeId) -> list[tuple[Edge, NodeId]]:
-        """All incident edges of ``node``, both directions, in deterministic
-        order (neighbor (kind, id, lang), then relation name)."""
-        if node not in self.nodes:
-            raise GraphError(f"unknown node {node}")
-        view = self.walk_view
-        return [(e, view.nodes[m]) for e, m in view.adjacent[view.index[node]]]
 
     def synsets(self) -> list[NodeId]:
         return sorted(n for n in self.nodes if n.kind == SYNSET)

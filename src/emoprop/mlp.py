@@ -195,14 +195,11 @@ def _check_rows(name: str, arr: np.ndarray, dtype) -> None:
 
 
 def _check_input(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """`x` as a 2-D batch in the parameters' dtype."""
+    """The 2-D batch `x` in the parameters' dtype."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise MLPError(
-            f"input dimension mismatch: expected {model.config.input_dim}, got {x.shape}"
+            f"input shape mismatch: expected (n, {model.config.input_dim}), got {x.shape}"
         )
     dtype = model.weights[0].dtype
     _check_rows("input", x, dtype)
@@ -262,9 +259,8 @@ def make_dropout_masks(
 
 
 def predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass (no dropout) of one sample or a batch."""
-    out = _forward(model, _check_input(model, x), None)[-1]
-    return out[0] if np.asarray(x).ndim == 1 else out
+    """Eval-mode forward pass (no dropout) of an (n, input_dim) batch."""
+    return _forward(model, _check_input(model, x), None)[-1]
 
 
 def binarize(y: np.ndarray) -> np.ndarray:

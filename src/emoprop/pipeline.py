@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import CorpusConfig, generate_corpus, load_corpus_sequences, save_corpus
 from .embed import EmbedConfig, load_embeddings, save_embeddings, train_embeddings
-from .evaluate import NUM_FOLDS, format_metrics_table, run_cv
+from .evaluate import MIN_FOLDS, NUM_FOLDS, format_metrics_table, run_cv
 from .graph import WordNetGraph, parse_wordnet_file, write_wordnet_file
 from .mlp import MLPConfig, save_model, train_mlp
 from .propagate import propagate, require_embeddings, save_propagation, training_set
@@ -71,8 +71,8 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.folds < 3:
-            raise ValueError("folds must be >= 3")
+        if self.folds < MIN_FOLDS:
+            raise ValueError(f"folds must be >= {MIN_FOLDS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -395,11 +395,12 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
     paths = artifact_paths(cfg)
     for name in spec.inputs:
         if not paths[name].exists():
-            producer = next(s for s, other in STAGE_TABLE.items() if name in other.outputs)
-            raise PipelineError(
-                f"missing input artifact {paths[name]} (produced by the "
-                f"{producer!r} stage)"
-            )
+            if name == "graph" and cfg.graph is not None:
+                origin = 'the config\'s "graph" path'
+            else:
+                producer = next(s for s, other in STAGE_TABLE.items() if name in other.outputs)
+                origin = f"produced by the {producer!r} stage"
+            raise PipelineError(f"missing input artifact {paths[name]} ({origin})")
 
     key_config = spec.key(cfg)
     parts = [stage, json.dumps(key_config, sort_keys=True, default=list)]

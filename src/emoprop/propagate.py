@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import node_token
-from .graph import LEXICAL_UNIT, NUM_DIMENSIONS, GraphError, NodeId, WordNetGraph, _node_ref
+from .graph import LEXICAL_UNIT, NUM_DIMENSIONS, NodeId, WordNetGraph
 from .mlp import MLPConfig, TrainReport, binarize, predict, train_mlp
 
 
@@ -33,13 +33,6 @@ class PropagationError(ValueError):
 class Wave(NamedTuple):
     distance: int
     lus: tuple[NodeId, ...]
-
-
-class Prediction(NamedTuple):
-    """One record of a propagation file."""
-
-    wave: int
-    raw: np.ndarray
 
 
 @dataclass
@@ -211,51 +204,3 @@ def save_propagation(result: PropagationResult, path) -> None:
                     "labels": [bool(b) for b in binarize(raw)],
                 }
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def _prediction(record: object) -> tuple[NodeId, Prediction]:
-    """One record of a propagation file, its JSON types checked."""
-    if not isinstance(record, dict):
-        raise PropagationError(f"expected an object, got {record!r}")
-    missing = [key for key in ("lu", "wave", "raw", "labels") if key not in record]
-    if missing:
-        raise PropagationError(f"missing field {missing[0]!r}")
-    try:
-        lu = _node_ref(record["lu"], LEXICAL_UNIT)
-    except GraphError as exc:
-        raise PropagationError(str(exc)) from exc
-    wave, raw, labels = record["wave"], record["raw"], record["labels"]
-    if not isinstance(wave, int) or isinstance(wave, bool):
-        raise PropagationError(f"wave must be an integer, got {wave!r}")
-    for name, values in (("raw", raw), ("labels", labels)):
-        if not isinstance(values, list) or len(values) != NUM_DIMENSIONS:
-            raise PropagationError(f"wrong vector length: {name} must list {NUM_DIMENSIONS} values")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-        raise PropagationError(f"raw values must be numbers, got {raw!r}")
-    if not all(isinstance(b, bool) for b in labels):
-        raise PropagationError(f"labels must be booleans, got {labels!r}")
-    if labels != [v >= 0.5 for v in raw]:
-        raise PropagationError("labels disagree with raw >= 0.5")
-    return lu, Prediction(wave, np.asarray(raw, dtype=np.float64))
-
-
-def load_propagation(path) -> dict[NodeId, Prediction]:
-    """Read a `save_propagation` file; a malformed line, labels that are
-    not binarize(raw), or a second line for the same LU, raise
-    PropagationError with its line number."""
-    predictions: dict[NodeId, Prediction] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                lu, pred = _prediction(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise PropagationError(f"line {lineno}: invalid JSON: {exc}") from exc
-            except PropagationError as exc:
-                raise PropagationError(f"line {lineno}: {exc}") from exc
-            if lu in predictions:
-                raise PropagationError(f"line {lineno}: duplicate prediction for {lu}")
-            predictions[lu] = pred
-    return predictions

@@ -60,6 +60,13 @@ class TestMakeFolds:
         with pytest.raises(EvalError, match="need at least 10 ids"):
             make_folds(list(range(9)), seed=0)
 
+    @pytest.mark.parametrize("n_folds", [0, 1, 2])
+    def test_too_few_folds(self, n_folds):
+        """Below three folds a val block is a test block or no training
+        block is left."""
+        with pytest.raises(EvalError, match=f"n_folds must be >= 3, got {n_folds}"):
+            make_folds(list(range(20)), seed=0, n_folds=n_folds)
+
     def test_three_folds(self):
         folds = make_folds(list(range(12)), seed=2, n_folds=3)
         assert len(folds) == 3

@@ -154,18 +154,18 @@ class TestForward:
             weights=[np.zeros_like(w) for w in model.weights],
             biases=[np.zeros_like(b) for b in model.biases],
         )
-        out = predict(zeroed, np.ones(12))
-        assert np.array_equal(out, np.zeros(26))
+        out = predict(zeroed, np.ones((1, 12)))
+        assert np.array_equal(out, np.zeros((1, 26)))
 
     def test_shapes(self):
         model = init_model(MLPConfig(variant="deep", input_dim=14, hidden_dims=(7,), seed=0))
-        assert predict(model, np.ones(14)).shape == (26,)
+        assert predict(model, np.ones((1, 14))).shape == (1, 26)
         assert predict(model, np.ones((5, 14))).shape == (5, 26)
 
     def test_full_deep_eval(self):
         model = init_model(MLPConfig(variant="deep", input_dim=300, seed=1))
-        out = predict(model, np.random.default_rng(0).normal(size=300))
-        assert out.shape == (26,)
+        out = predict(model, np.random.default_rng(0).normal(size=(1, 300)))
+        assert out.shape == (1, 26)
         assert np.all(np.isfinite(out))
 
     def test_dropout_zero_train_equals_eval(self):
@@ -177,9 +177,11 @@ class TestForward:
         assert np.array_equal(train_out, predict(model, x))
 
     def test_input_dim_mismatch(self):
+        """A wrong width and a single 1-D sample are both refused."""
         model = init_model(MLPConfig(variant="base", input_dim=10))
-        with pytest.raises(MLPError):
-            predict(model, np.ones(11))
+        for x in (np.ones((1, 11)), np.ones(10)):
+            with pytest.raises(MLPError, match=r"expected \(n, 10\)"):
+                predict(model, x)
 
     def test_mask_values(self):
         cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=(40, 40, 40), dropout=0.2, seed=0)
@@ -217,7 +219,7 @@ class TestForward:
             biases=list(model.biases),
         )
         x = np.abs(np.random.default_rng(1).normal(size=12))
-        expected = predict(positive, x)
+        expected = predict(positive, x[None, :])[0]
         rng = np.random.default_rng(77)
         total = np.zeros(26)
         draws = 10000
@@ -773,7 +775,7 @@ class TestTraining:
             with pytest.raises(MLPError, match="input at row 1 exceed the float32 range"):
                 predict(model, x)
             with pytest.raises(MLPError, match="input at row 0 exceed the float32 range"):
-                predict(model, x[1])
+                predict(model, x[1:2])
             x[1, 4] = np.nan
             with pytest.raises(MLPError, match="non-finite input at row 1"):
                 predict(model, x)
@@ -832,7 +834,7 @@ class TestCheckpoint:
         for p, lp in zip([*model.weights, *model.biases], [*loaded.weights, *loaded.biases]):
             assert lp.dtype == np.float32
             np.testing.assert_array_equal(lp, p)
-        x = np.random.default_rng(1).normal(size=9)
+        x = np.random.default_rng(1).normal(size=(1, 9))
         np.testing.assert_array_equal(predict(loaded, x), predict(model, x))
 
     def test_bad_magic(self, tmp_path):

@@ -318,6 +318,15 @@ class TestStagesAndCache:
         with pytest.raises(PipelineError, match="produced by the 'embed' stage"):
             run("evaluate", config_from_dict(fresh))
 
+    def test_missing_config_graph_names_the_config(self, tmp_path):
+        """A config that names its graph cannot get it from synth."""
+        cfg = config_from_dict({"seed": 1, "graph": "missing.jsonl", "out_dir": str(tmp_path)})
+        with pytest.raises(
+            PipelineError,
+            match=r'^missing input artifact missing.jsonl \(the config\'s "graph" path\)$',
+        ):
+            run("walk", cfg)
+
     def test_synth_stage_needs_synth_section(self, micro_run, tmp_path):
         out, doc, _lines = micro_run
         fresh = json.loads(json.dumps(doc))
