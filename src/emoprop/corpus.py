@@ -7,7 +7,9 @@ graph's adjacency, its index view `WordNetGraph.walk_view`.
 
 Each walk draws from its own counter-split RNG stream, so generation is a
 pure function of (graph, parameters, seed) and parallel scheduling could
-never change the output.
+never change the output.  Sequences share their token strings: a walk
+takes them from the view, and a corpus read back from its file keeps one
+string per distinct token.
 """
 
 from __future__ import annotations
@@ -109,5 +111,9 @@ def save_corpus(corpus: WalkCorpus, path: str | Path) -> None:
 
 
 def load_corpus_sequences(path: str | Path) -> list[list[str]]:
+    """The file's non-blank lines as token lists, one `str` object per
+    distinct token: T tokens over V distinct ones hold V strings."""
+    shared: dict[str, str] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        return [line.split() for line in fh if line.strip()]
+        lines = (line.split() for line in fh)
+        return [[shared.setdefault(tok, tok) for tok in toks] for toks in lines if toks]

@@ -281,26 +281,24 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
     n_tokens = len(vocab)
     dim = cfg.dim
 
-    input_vectors = (rng.random((n_tokens, dim)) - 0.5) / dim
-    output_vectors = np.zeros((n_tokens, dim))
-
     ngram_to_index: dict[str, int] = {}
-    ngram_vectors: np.ndarray | None = None
     token_rows: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
     if cfg.subword is not None:
         minn, maxn = cfg.subword
-        per_token_grams = [token_ngrams(tok, minn, maxn) for tok in vocab.tokens]
-        for grams in per_token_grams:
-            for gram in grams:
-                if gram not in ngram_to_index:
-                    ngram_to_index[gram] = len(ngram_to_index)
-        ngram_vectors = (rng.random((len(ngram_to_index), dim)) - 0.5) / dim
         token_rows = []
-        for i in range(n_tokens):
-            rows = [i] + [n_tokens + ngram_to_index[gram] for gram in per_token_grams[i]]
+        for i, tok in enumerate(vocab.tokens):
+            grams = token_ngrams(tok, minn, maxn)
+            rows = [i] + [
+                n_tokens + ngram_to_index.setdefault(gram, len(ngram_to_index)) for gram in grams
+            ]
             token_rows.append((np.array(rows, dtype=np.int64), _distinct_rounds(rows)))
-        # single input matrix: token rows first, n-gram rows after
-        input_vectors = np.vstack([input_vectors, ngram_vectors])
+
+    # single input matrix: token rows first, n-gram rows after, in one draw
+    # (the same doubles as a draw per block) scaled in place
+    input_vectors = rng.random((n_tokens + len(ngram_to_index), dim))
+    input_vectors -= 0.5
+    input_vectors /= dim
+    output_vectors = np.zeros((n_tokens, dim))
 
     indexed = []
     for seq in sequences:
@@ -371,16 +369,13 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
             raise EmbeddingError(f"non-finite training loss at epoch {_epoch + 1}: {mean_loss}")
         history.append(mean_loss)
 
-    if cfg.subword is not None:
-        ngram_vectors = input_vectors[n_tokens:]
-        input_vectors = input_vectors[:n_tokens]
     return EmbeddingTable(
         vocab=vocab,
-        input_vectors=input_vectors,
+        input_vectors=input_vectors[:n_tokens],
         output_vectors=output_vectors,
         subword=cfg.subword,
         ngram_to_index=ngram_to_index,
-        ngram_vectors=ngram_vectors,
+        ngram_vectors=input_vectors[n_tokens:] if cfg.subword is not None else None,
         loss_history=history,
     )
 

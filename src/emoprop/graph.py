@@ -11,7 +11,10 @@ input that breaks either of these two rules.
 The graph is built once (from a JSON-lines file or programmatically) and is
 immutable by convention afterwards; its adjacency, the index view that
 walks and the propagation BFS read, is finalized lazily and reads are
-safe from concurrent workers.  Node tokens are "S#<lang>#<id>" /
+safe from concurrent workers.  A parsed graph shares its identities: its
+edges and annotations hold the graph's own `NodeId` objects and one
+`RelationType` object per distinct relation, and the parser keeps no
+record dict past the line it came from.  Node tokens are "S#<lang>#<id>" /
 "L#<lang>#<id>"; relation tokens are "r" + optional "i" (inter-lingual) +
 endpoint category + "#" + relation name, e.g. "rSS#hyponymy" or
 "riSS#synonymy-il".  Relation tokens identify the relation type only, not
@@ -261,38 +264,58 @@ def _node_ref(ref: object, kind: str | None = None) -> NodeId:
     return _node_id(*prefix, *ref)
 
 
-def _add_record(g: WordNetGraph, obj: dict) -> None:
+def _read_record(
+    g: WordNetGraph,
+    obj: dict,
+    ids: dict[NodeId, NodeId],
+    relations: dict[RelationType, RelationType],
+) -> Edge | tuple[NodeId, object] | None:
+    """The typed record of one schema-checked line.  A node joins `g` at
+    once; an edge or an (LU, values) annotation is returned, with its
+    nodes and relation taken from `ids` and `relations`, the parse's one
+    object per distinct value."""
     kind = obj["kind"]
     if kind in NODE_KINDS:
         lemma = obj.get("lemma")
         if lemma is not None and not isinstance(lemma, str):
             raise GraphError(f"lemma must be a string, got {lemma!r}")
-        g.add_node(_node_id(kind, obj["id"], obj["lang"]), lemma=lemma)
-    elif kind == "edge":
+        node = _node_id(kind, obj["id"], obj["lang"])
+        g.add_node(ids.setdefault(node, node), lemma=lemma)
+        return None
+    if kind == "edge":
         name, inter = obj["rel"], obj["interlingual"]
         if not isinstance(name, str):
             raise GraphError(f"relation name must be a string, got {name!r}")
         if not isinstance(inter, bool):
             raise GraphError("interlingual must be a boolean")
         rel = RelationType(name, obj["category"], inter)
-        g.add_edge(Edge(_node_ref(obj["src"]), _node_ref(obj["dst"]), rel))
-    else:
-        node = _node_ref(obj["lu"], LEXICAL_UNIT)
-        if node in g.annotations:
-            raise GraphError(f"duplicate annotation for {node}")
-        g.set_annotation(node, obj["values"])
+        src, dst = _node_ref(obj["src"]), _node_ref(obj["dst"])
+        src, dst = ids.setdefault(src, src), ids.setdefault(dst, dst)
+        return Edge(src, dst, relations.setdefault(rel, rel))
+    node = _node_ref(obj["lu"], LEXICAL_UNIT)
+    return ids.setdefault(node, node), obj["values"]
 
 
 def parse_wordnet_file(path: str | Path) -> WordNetGraph:
     """Parse a JSON-lines graph file into a validated WordNetGraph.
 
-    One object per line with a ``kind`` field in ``RECORD_FIELDS``.  Node
-    definitions may appear in any order relative to the edges that
-    reference them; duplicate nodes, unknown endpoints, malformed lines and
-    breaches of the module's two graph rules are errors reported with their
-    line number.
+    One object per line with a ``kind`` field in ``RECORD_FIELDS``.  Each
+    line becomes its typed record as it is read: a node joins the graph at
+    once, an edge holds the graph's own `NodeId` objects and one
+    `RelationType` per distinct relation, and an annotation is kept as
+    (LU, values).  Edges and annotations are added in file order after the
+    last line, so node definitions may appear in any order relative to the
+    edges that reference them.  Duplicate nodes, unknown endpoints,
+    malformed lines and breaches of the module's two graph rules are errors
+    reported with their line number.
     """
-    records: list[tuple[int, dict]] = []
+    g = WordNetGraph()
+    # one object per distinct node and relation: a node named before its
+    # own line is the object that line adds later
+    ids: dict[NodeId, NodeId] = {}
+    relations: dict[RelationType, RelationType] = {}
+    pending: list[Edge | tuple[NodeId, object]] = []
+    pending_lines: list[int] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -314,13 +337,22 @@ def parse_wordnet_file(path: str | Path) -> WordNetGraph:
             missing = [key for key in required if key not in obj]
             if missing:
                 raise GraphError(f"line {lineno}: missing field {missing[0]!r}")
-            records.append((lineno, obj))
+            try:
+                record = _read_record(g, obj, ids, relations)
+            except GraphError as exc:
+                raise GraphError(f"line {lineno}: {exc}") from exc
+            if record is not None:
+                pending.append(record)
+                pending_lines.append(lineno)
 
-    g = WordNetGraph()
-    # Nodes first, so that edges and annotations may name nodes defined later.
-    for lineno, obj in sorted(records, key=lambda rec: rec[1]["kind"] not in NODE_KINDS):
+    for lineno, record in zip(pending_lines, pending):
         try:
-            _add_record(g, obj)
+            if isinstance(record, Edge):
+                g.add_edge(record)
+            elif record[0] in g.annotations:
+                raise GraphError(f"duplicate annotation for {record[0]}")
+            else:
+                g.set_annotation(*record)
         except GraphError as exc:
             raise GraphError(f"line {lineno}: {exc}") from exc
     return g

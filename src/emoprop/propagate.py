@@ -117,10 +117,16 @@ def require_embeddings(embeddings, lus: Iterable[NodeId]) -> None:
 
 
 def embedding_matrix(embeddings, lus: Iterable[NodeId]) -> np.ndarray:
+    """The embedding rows of `lus`; a non-finite row raises
+    PropagationError naming its LU's token."""
     lus = list(lus)
     if not lus:
         return np.zeros((0, embeddings.dim))
-    return np.stack([embeddings.vector_of(node_token(lu)) for lu in lus])
+    x = np.stack([embeddings.vector_of(node_token(lu)) for lu in lus])
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise PropagationError(f"non-finite embedding for {node_token(lus[int(np.argmax(bad))])}")
+    return x
 
 
 def training_set(g: WordNetGraph, embeddings, lus) -> tuple[np.ndarray, np.ndarray]:

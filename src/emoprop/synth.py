@@ -120,21 +120,23 @@ def generate(cfg: SynthConfig) -> WordNetGraph:
                         values = np.abs(values - flips.astype(np.float64))
                     g.set_annotation(lu, values)
 
+    # one draw per synset pair, in the order of a per-pair loop: a block
+    # of n draws yields the same doubles as n single draws
+    upper_pairs = np.transpose(np.triu_indices(n_syn, k=1))
     for lang in cfg.languages:
-        # intra-community synset edges
+        # intra-community synset edges, pairs a < b in row-major order
         for c in range(n_comm):
             members = synset_ids[(lang, c)]
-            for a in range(n_syn):
-                for b in range(a + 1, n_syn):
-                    if rng.random() < cfg.intra_probability:
-                        g.add_edge(Edge(members[a], members[b], INTRA_RELATION))
+            hits = rng.random(len(upper_pairs)) < cfg.intra_probability
+            for a, b in upper_pairs[hits].tolist():
+                g.add_edge(Edge(members[a], members[b], INTRA_RELATION))
         # sparser edges across communities of the same language
         for c1 in range(n_comm):
             for c2 in range(c1 + 1, n_comm):
-                for a in synset_ids[(lang, c1)]:
-                    for b in synset_ids[(lang, c2)]:
-                        if rng.random() < cfg.inter_probability:
-                            g.add_edge(Edge(a, b, INTER_RELATION))
+                members_1, members_2 = synset_ids[(lang, c1)], synset_ids[(lang, c2)]
+                hits = rng.random((n_syn, n_syn)) < cfg.inter_probability
+                for a, b in np.argwhere(hits).tolist():
+                    g.add_edge(Edge(members_1[a], members_2[b], INTER_RELATION))
 
     # inter-lingual synonymy between paired communities of consecutive languages
     n_links = int(round(cfg.interlingual_fraction * n_syn))

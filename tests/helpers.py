@@ -1,5 +1,6 @@
 """Shared builders for the test suite: tiny graphs, annotation vectors,
-a lookup-only embedding stand-in and the SGNS loss of one window."""
+a lookup-only embedding stand-in, the SGNS loss of one window and a
+per-pair reference of the synthetic graph generator."""
 
 import numpy as np
 
@@ -12,6 +13,13 @@ from emoprop.graph import (
     NodeId,
     RelationType,
     WordNetGraph,
+)
+from emoprop.synth import (
+    CROSS_RELATION_NAME,
+    INTER_RELATION,
+    INTRA_RELATION,
+    MEMBERSHIP_RELATION,
+    community_prototype,
 )
 
 MEMBER = RelationType("membership", "SL", False)
@@ -53,6 +61,55 @@ def reference_adjacency(g):
     for entries in adj.values():
         entries.sort(key=lambda pair: (pair[1], pair[0].rel.name))
     return adj
+
+
+def reference_synth(cfg):
+    """`emoprop.synth.generate` as a plain loop: one ``rng.random()`` call
+    per synset pair, in the order the generator's block draws promise."""
+    rng = np.random.default_rng(cfg.seed)
+    g = WordNetGraph()
+    n_comm, n_syn = cfg.communities, cfg.synsets_per_community
+    members = {
+        (lang, c): [synset(c * n_syn + j, lang) for j in range(n_syn)]
+        for lang in cfg.languages
+        for c in range(n_comm)
+    }
+    for group in members.values():
+        for node in group:
+            g.add_node(node)
+    for lang in cfg.languages:
+        for c in range(n_comm):
+            for syn in members[(lang, c)]:
+                for m in range(cfg.lus_per_synset):
+                    node = lu(syn.id * cfg.lus_per_synset + m, lang)
+                    g.add_node(node)
+                    g.add_edge(Edge(syn, node, MEMBERSHIP_RELATION))
+                    values = community_prototype(c)
+                    if cfg.label_noise > 0.0:
+                        flips = rng.random(NUM_DIMENSIONS) < cfg.label_noise
+                        values = np.abs(values - flips.astype(np.float64))
+                    g.set_annotation(node, values)
+    for lang in cfg.languages:
+        for c in range(n_comm):
+            group = members[(lang, c)]
+            for a in range(n_syn):
+                for b in range(a + 1, n_syn):
+                    if rng.random() < cfg.intra_probability:
+                        g.add_edge(Edge(group[a], group[b], INTRA_RELATION))
+        for c1 in range(n_comm):
+            for c2 in range(c1 + 1, n_comm):
+                for a in members[(lang, c1)]:
+                    for b in members[(lang, c2)]:
+                        if rng.random() < cfg.inter_probability:
+                            g.add_edge(Edge(a, b, INTER_RELATION))
+    n_links = int(round(cfg.interlingual_fraction * n_syn))
+    rel = RelationType(CROSS_RELATION_NAME, "SS", True)
+    for lang_a, lang_b in zip(cfg.languages, cfg.languages[1:]):
+        for c in range(n_comm):
+            if n_links:
+                for j in sorted(rng.choice(n_syn, size=n_links, replace=False).tolist()):
+                    g.add_edge(Edge(members[(lang_a, c)][j], members[(lang_b, c)][j], rel))
+    return g
 
 
 def chain_graph(n_synsets=3, lus_per=1, lang="pl"):

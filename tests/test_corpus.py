@@ -309,6 +309,15 @@ class TestCorpusIO:
         save_corpus(generate_corpus(g, CorpusConfig(num_walks=25, length=6, seed=7)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_one_object_per_distinct_token(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        text = "S#pl#0 rSS#hyponymy S#pl#1\nS#pl#1 rSS#hyponymy S#pl#0\n"
+        path.write_text(text, encoding="utf-8")
+        sequences = load_corpus_sequences(path)
+        tokens = [tok for seq in sequences for tok in seq]
+        assert len(tokens) == 6
+        assert len({id(tok) for tok in tokens}) == len(set(tokens)) == 3
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("A b C\n\nD\n", encoding="utf-8")

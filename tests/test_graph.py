@@ -233,6 +233,46 @@ class TestParseAndWrite:
         assert len(h.edges) == 3
         assert len(h.annotations) == 1
 
+    def test_parsed_graph_shares_nodes_and_relations(self, tmp_path):
+        """Edges and annotations hold the graph's own NodeId objects, even
+        when they name a node before its line, and each relation is one
+        RelationType object."""
+        g = self._fixture_graph()
+        g.add_edge(Edge(synset(3, "en"), lu(5, "en"), MEMBER))
+        path = tmp_path / "graph.jsonl"
+        write_wordnet_file(g, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[4:] + lines[:4]), encoding="utf-8")
+        h = parse_wordnet_file(path)
+        own = {node: node for node in h.nodes}
+        for e in h.edges:
+            assert e.src is own[e.src] and e.dst is own[e.dst]
+        for node in h.annotations:
+            assert node is own[node]
+        assert len({id(e.rel) for e in h.edges}) == len({e.rel for e in h.edges}) == 2
+
+    def test_nodes_after_edges_and_annotations_write_same_bytes(self, tmp_path):
+        g = self._fixture_graph()
+        path = tmp_path / "graph.jsonl"
+        write_wordnet_file(g, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert all('"kind": "edge"' in line for line in lines[4:7])
+        moved = tmp_path / "nodes_last.jsonl"
+        moved.write_text("".join(lines[4:] + lines[:4]), encoding="utf-8")
+        rewritten = tmp_path / "rewritten.jsonl"
+        write_wordnet_file(parse_wordnet_file(moved), rewritten)
+        assert rewritten.read_bytes() == path.read_bytes()
+
+    def test_three_language_synth_round_trip_is_byte_identical(self, tmp_path):
+        cfg = SynthConfig(
+            communities=3, synsets_per_community=5, languages=("pl", "en", "de"),
+            label_noise=0.2, seed=3,
+        )
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_wordnet_file(generate(cfg), first)
+        write_wordnet_file(parse_wordnet_file(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_write_is_deterministic(self, tmp_path):
         g = self._fixture_graph()
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -138,6 +138,14 @@ class TestPropagate:
         with pytest.raises(PropagationError, match="missing embeddings for: .*L#pl#7"):
             propagate(g, table, cfg, seed_lus, val_lus, targets)
 
+    @pytest.mark.parametrize("role, index, value", [("seed", 3, np.nan), ("target", 7, np.inf)])
+    def test_non_finite_embedding_named(self, role, index, value):
+        g, table, cfg, seed_lus, val_lus, targets = _chain_fixture()
+        assert lu(index) in {"seed": seed_lus, "target": targets}[role]
+        table.vectors[node_token(lu(index))][2] = value
+        with pytest.raises(PropagationError, match=f"^non-finite embedding for L#pl#{index}$"):
+            propagate(g, table, cfg, seed_lus, val_lus, targets)
+
     def test_empty_seed(self):
         g, table, cfg, _, val_lus, targets = _chain_fixture()
         with pytest.raises(PropagationError, match="seed annotations are empty"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from emoprop.graph import DIMENSION_INDEX, LEXICAL_UNIT, SYNSET
+from emoprop.graph import DIMENSION_INDEX, LEXICAL_UNIT, SYNSET, write_wordnet_file
 from emoprop.synth import (
     CROSS_RELATION_NAME,
     INTRA_RELATION,
@@ -12,6 +12,8 @@ from emoprop.synth import (
     community_prototype,
     generate,
 )
+
+from helpers import reference_synth
 
 
 class TestSynthConfig:
@@ -124,6 +126,25 @@ class TestGenerate:
             if e.rel == INTRA_RELATION:
                 assert e.src.lang == e.dst.lang
                 assert e.src.id // n == e.dst.id // n
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(communities=3, synsets_per_community=6, label_noise=0.2, seed=4),
+            SynthConfig(
+                communities=4, synsets_per_community=5, languages=("pl", "en", "de"),
+                inter_probability=0.1, label_noise=0.3, seed=9,
+            ),
+            SynthConfig(communities=3, synsets_per_community=7, languages=("en",), seed=2),
+            SynthConfig(communities=5, synsets_per_community=1, interlingual_fraction=1.0),
+        ],
+        ids=["noisy", "three-languages", "monolingual", "one-synset"],
+    )
+    def test_matches_per_pair_reference(self, cfg, tmp_path):
+        """The block draws give the bytes of one draw per synset pair."""
+        write_wordnet_file(generate(cfg), tmp_path / "block.jsonl")
+        write_wordnet_file(reference_synth(cfg), tmp_path / "loop.jsonl")
+        assert (tmp_path / "block.jsonl").read_bytes() == (tmp_path / "loop.jsonl").read_bytes()
 
     def test_determinism(self):
         cfg = SynthConfig(label_noise=0.3, seed=21)
