@@ -383,11 +383,11 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """Text format: "<vocab_size> <dim>" header, then one token per line
     followed by its published vector at 6 decimal places."""
+    row = " ".join(["%.6f"] * table.dim) + "\n"  # "%.6f" writes what f"{x:.6f}" does
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.vocab)} {table.dim}\n")
         for token in table.vocab.tokens:
-            vec = table.vector_of(token)
-            fh.write(token + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
+            fh.write(token + " " + row % tuple(table.vector_of(token).tolist()))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:

@@ -293,7 +293,16 @@ def _read_record(
         src, dst = ids.setdefault(src, src), ids.setdefault(dst, dst)
         return Edge(src, dst, relations.setdefault(rel, rel))
     node = _node_ref(obj["lu"], LEXICAL_UNIT)
-    return ids.setdefault(node, node), obj["values"]
+    # a list of numbers waits for its check as an array; any other value
+    # waits as read, so that the check's message quotes it
+    values = obj["values"]
+    try:
+        arr = np.asarray(values) if isinstance(values, list) else None
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf":
+        values = arr
+    return ids.setdefault(node, node), values
 
 
 def parse_wordnet_file(path: str | Path) -> WordNetGraph:
@@ -303,11 +312,12 @@ def parse_wordnet_file(path: str | Path) -> WordNetGraph:
     line becomes its typed record as it is read: a node joins the graph at
     once, an edge holds the graph's own `NodeId` objects and one
     `RelationType` per distinct relation, and an annotation is kept as
-    (LU, values).  Edges and annotations are added in file order after the
-    last line, so node definitions may appear in any order relative to the
-    edges that reference them.  Duplicate nodes, unknown endpoints,
-    malformed lines and breaches of the module's two graph rules are errors
-    reported with their line number.
+    (LU, values), a list of numbers as an array.  Edges and annotations
+    are added in file order after the last line, so node definitions may
+    appear in any order relative to the edges that reference them.
+    Duplicate nodes, unknown endpoints, malformed lines and breaches of
+    the module's two graph rules are errors reported with their line
+    number.
     """
     g = WordNetGraph()
     # one object per distinct node and relation: a node named before its

@@ -436,7 +436,10 @@ def train_mlp(
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise MLPError("train and validation sets must be non-empty")
     if x_train.shape[1] != cfg.input_dim or x_val.shape[1] != cfg.input_dim:
-        raise MLPError("input dimension mismatch with config")
+        raise MLPError(
+            f"input dimension mismatch with config: input_dim is {cfg.input_dim}, features "
+            f"have {x_train.shape[1]} (train) and {x_val.shape[1]} (validation) columns"
+        )
     if y_train.shape[1] != NUM_DIMENSIONS or y_val.shape[1] != NUM_DIMENSIONS:
         raise MLPError("target dimension mismatch with config")
     for name, arr in (

@@ -6,7 +6,9 @@ Every stage derives its own sub-seed from the global seed and the stage
 name, so stages can be rerun independently and two runs with the same
 config produce byte-identical artifacts.  Completed stages are skipped
 when a rerun presents the same stage config and input artifacts, keyed
-by content hash rather than timestamps.
+by content hash rather than timestamps.  Stage bodies never read a file:
+`run_stage` reads each input a stage declares and passes it in, and one
+run reads each input file once per content hash.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .embed import EmbedConfig, load_embeddings, save_embeddings, train_embeddin
 from .evaluate import MIN_FOLDS, NUM_FOLDS, format_metrics_table, run_cv
 from .graph import WordNetGraph, parse_wordnet_file, write_wordnet_file
 from .mlp import MLPConfig, save_model, train_mlp
-from .propagate import propagate, require_embeddings, save_propagation, training_set
+from .propagate import propagate, save_propagation, training_set
 from .synth import SynthConfig, generate
 
 # artifact name -> its file in out_dir (a config "graph" path replaces the graph's)
@@ -103,7 +105,7 @@ SECTIONS = {
     "propagate": (PropagateConfig, None),
     "eval": (EvalConfig, "evaluate"),
 }
-# filled from the embeddings, never from the config
+# filled from embed.dim by config_from_dict, never a config key
 DERIVED_FIELDS = {"input_dim"}
 
 _NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -240,57 +242,43 @@ def _annotated_split(
     return groups
 
 
-def _load_regressor_inputs(
-    cfg: PipelineConfig, paths: dict
-) -> tuple[WordNetGraph, object, MLPConfig]:
-    """The graph, the embeddings (which must cover every annotated LU) and
-    the regressor config sized to them."""
-    g = parse_wordnet_file(paths["graph"])
-    table = load_embeddings(paths["embeddings"])
-    require_embeddings(table, sorted(g.annotations))
-    return g, table, replace(cfg.mlp, input_dim=table.dim)
-
-
 def _stage_synth(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     g = generate(cfg.synth)
     write_wordnet_file(g, paths["graph"])
     return f"{len(g.nodes)} nodes, {len(g.edges)} edges, {len(g.annotations)} annotated LUs"
 
 
-def _stage_walk(cfg: PipelineConfig, paths: dict, key: dict) -> str:
+def _stage_walk(cfg: PipelineConfig, paths: dict, key: dict, g: WordNetGraph) -> str:
     c = cfg.corpus
-    corpus = generate_corpus(parse_wordnet_file(paths["graph"]), c)
+    corpus = generate_corpus(g, c)
     save_corpus(corpus, paths["corpus"])
     mode = "cross-lingual" if c.cross_lingual else "monolingual"
     return f"{len(corpus.sequences)} {mode} walks of length {c.length}"
 
 
-def _stage_embed(cfg: PipelineConfig, paths: dict, key: dict) -> str:
-    sequences = load_corpus_sequences(paths["corpus"])
+def _stage_embed(cfg: PipelineConfig, paths: dict, key: dict, sequences: list) -> str:
     table = train_embeddings(sequences, cfg.embed)
     save_embeddings(table, paths["embeddings"])
     final_loss = table.loss_history[-1] if table.loss_history else float("nan")
     return f"{len(table.vocab.tokens)} tokens, dim {table.dim}, final loss {final_loss:.4f}"
 
 
-def _stage_train(cfg: PipelineConfig, paths: dict, key: dict) -> str:
-    g, table, mcfg = _load_regressor_inputs(cfg, paths)
+def _stage_train(cfg: PipelineConfig, paths: dict, key: dict, g: WordNetGraph, table) -> str:
     val_lus, train_lus = _annotated_split(g, "train", key["split_seed"], (0.1,))
     train, val = (training_set(g, table, lus) for lus in (train_lus, val_lus))
-    model, report = train_mlp(mcfg, train, val)
+    model, report = train_mlp(cfg.mlp, train, val)
     save_model(model, paths["model"])
     return (
-        f"{mcfg.variant} ({mcfg.num_parameters()} parameters), "
+        f"{cfg.mlp.variant} ({cfg.mlp.num_parameters()} parameters), "
         f"best val loss {report.best_val_loss:.4f} at epoch {report.best_epoch}"
     )
 
 
-def _stage_propagate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
-    g, table, mcfg = _load_regressor_inputs(cfg, paths)
+def _stage_propagate(cfg: PipelineConfig, paths: dict, key: dict, g: WordNetGraph, table) -> str:
     fractions = (cfg.propagate.mask_fraction, 0.1)
     targets, val_lus, seed_lus = _annotated_split(g, "propagate", key["mask_seed"], fractions)
     retrain = cfg.propagate.retrain_per_wave
-    result = propagate(g, table, mcfg, seed_lus, val_lus, targets, retrain_per_wave=retrain)
+    result = propagate(g, table, cfg.mlp, seed_lus, val_lus, targets, retrain_per_wave=retrain)
     save_propagation(result, paths["propagation"])
     return (
         f"{len(result.predictions)} LUs in {len(result.plan.waves)} waves "
@@ -298,22 +286,11 @@ def _stage_propagate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
     )
 
 
-def _stage_evaluate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
-    g, table, mcfg = _load_regressor_inputs(cfg, paths)
-    cv = run_cv(
-        g,
-        table,
-        mcfg,
-        cfg.eval.seed,
-        retrain_per_wave=cfg.propagate.retrain_per_wave,
-        n_folds=cfg.eval.folds,
-    )
-    paths["metrics_json"].write_text(
-        json.dumps(cv.aggregate, indent=2) + "\n", encoding="utf-8"
-    )
-    paths["metrics_txt"].write_text(
-        format_metrics_table(cv.aggregate) + "\n", encoding="utf-8"
-    )
+def _stage_evaluate(cfg: PipelineConfig, paths: dict, key: dict, g: WordNetGraph, table) -> str:
+    retrain = cfg.propagate.retrain_per_wave
+    cv = run_cv(g, table, cfg.mlp, cfg.eval.seed, retrain_per_wave=retrain, n_folds=cfg.eval.folds)
+    paths["metrics_json"].write_text(json.dumps(cv.aggregate, indent=2) + "\n", encoding="utf-8")
+    paths["metrics_txt"].write_text(format_metrics_table(cv.aggregate) + "\n", encoding="utf-8")
     micro = cv.aggregate["micro"]["f1"]
     pooled = cv.aggregate["pooled_r"]
     return (
@@ -323,18 +300,19 @@ def _stage_evaluate(cfg: PipelineConfig, paths: dict, key: dict) -> str:
 
 
 def _mlp_key(cfg: PipelineConfig) -> dict:
-    """The regressor config without input_dim, which the embeddings fix."""
+    """The regressor config without input_dim, which the embeddings' hash covers."""
     return {k: v for k, v in asdict(cfg.mlp).items() if k != "input_dim"}
 
 
 class Stage(NamedTuple):
     """``key`` picks the config the outputs depend on; ``body`` gets it with
-    the config and artifact paths, writes the outputs and returns the
-    summary that run_stage frames with the stage name and first output."""
+    the config, the artifact paths and then each of ``inputs`` already
+    loaded, in order; it writes the outputs and returns the summary that
+    run_stage frames with the stage name and first output."""
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    body: Callable[[PipelineConfig, dict, dict], str]
+    body: Callable[..., str]
     key: Callable[[PipelineConfig], dict]
     help: str
 
@@ -384,8 +362,19 @@ ALL_HELP = (
 )
 
 
-def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
-    """Run one stage, or skip it when the cache stamp still matches.
+def _read_input(name: str, path: Path):
+    """Input artifact `name` as a stage body takes it.  The readers are
+    looked up in this module at call time, so a wrapper set on the module
+    attribute sees every read."""
+    if name == "graph":
+        return parse_wordnet_file(path)
+    return load_corpus_sequences(path) if name == "corpus" else load_embeddings(path)
+
+
+def run_stage(stage: str, cfg: PipelineConfig, loaded: dict) -> tuple[str, bool]:
+    """Run one stage, or skip it when the cache stamp still matches.  A
+    stage that runs takes its inputs from `loaded`, keyed by (artifact,
+    content sha256), after reading into it those missing there.
 
     Returns (one-line summary, cached flag).
     """
@@ -403,8 +392,9 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
             raise PipelineError(f"missing input artifact {paths[name]} ({origin})")
 
     key_config = spec.key(cfg)
+    inputs = [(name, _hash_file(paths[name])) for name in spec.inputs]
     parts = [stage, json.dumps(key_config, sort_keys=True, default=list)]
-    parts += [part for name in spec.inputs for part in (name, _hash_file(paths[name]))]
+    parts += [part for entry in inputs for part in entry]
     key = hashlib.sha256("".join(parts).encode()).hexdigest()
 
     outputs = [paths[name] for name in spec.outputs]
@@ -421,21 +411,30 @@ def run_stage(stage: str, cfg: PipelineConfig) -> tuple[str, bool]:
     if key_matches and all(p.exists() for p in outputs) and cached == stamp():
         return f"{stage}: cached ({', '.join(sorted(map(str, outputs)))})", True
 
-    summary = f"{stage}: {spec.body(cfg, paths, key_config)} -> {outputs[0]}"
+    for entry in inputs:
+        if entry not in loaded:
+            loaded[entry] = _read_input(entry[0], paths[entry[0]])
+    summary = spec.body(cfg, paths, key_config, *(loaded[entry] for entry in inputs))
     stamp_path.parent.mkdir(parents=True, exist_ok=True)
     stamp_path.write_text(json.dumps(stamp(), indent=2) + "\n", encoding="utf-8")
-    return summary, False
+    return f"{stage}: {summary} -> {outputs[0]}", False
 
 
 def run(stage: str, cfg: PipelineConfig, echo: Callable[[str], None] = print) -> int:
     """Run one stage or, for "all", every applicable stage in dependency
     order.  Prints one summary line per stage; returns a process exit
-    status (errors are raised, the CLI maps them to nonzero)."""
+    status (errors are raised, the CLI maps them to nonzero).  Each input
+    is read at most once per content hash, and dropped after the last
+    stage of the run that lists it."""
     if stage not in STAGES:
         raise PipelineError(f"unknown stage {stage!r}; choose from {STAGES}")
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     stages = [s for s in STAGE_TABLE if s != "synth" or cfg.synth is not None]
-    for s in stages if stage == "all" else [stage]:
-        summary, _cached = run_stage(s, cfg)
+    stages = stages if stage == "all" else [stage]
+    loaded: dict[tuple[str, str], object] = {}
+    for i, s in enumerate(stages):
+        summary, _cached = run_stage(s, cfg, loaded)
         echo(summary)
+        later = {name for t in stages[i + 1 :] for name in STAGE_TABLE[t].inputs}
+        loaded = {entry: value for entry, value in loaded.items() if entry[0] in later}
     return 0

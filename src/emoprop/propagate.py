@@ -131,10 +131,11 @@ def embedding_matrix(embeddings, lus: Iterable[NodeId]) -> np.ndarray:
 
 def training_set(g: WordNetGraph, embeddings, lus) -> tuple[np.ndarray, np.ndarray]:
     """The embedding rows and the graph's annotation rows of `lus`; an LU
-    without an annotation raises PropagationError naming it."""
+    without an annotation or an embedding raises PropagationError naming it."""
     for lu in lus:
         if lu not in g.annotations:
             raise PropagationError(f"{lu} has no annotation")
+    require_embeddings(embeddings, lus)
     y = np.stack([g.annotations[lu] for lu in lus]) if lus else np.zeros((0, NUM_DIMENSIONS))
     return embedding_matrix(embeddings, lus), y
 

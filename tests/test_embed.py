@@ -537,6 +537,24 @@ class TestEmbeddingIO:
         assert [ln.split(" ", 1)[0] for ln in lines[1:]] == list(table.vocab.tokens)
         assert len(lines[1].split()) == 5
 
+    def test_rows_match_per_value_format(self, tmp_path):
+        """One "%.6f" format per row writes the bytes of f"{x:.6f}" per
+        value, signed zero and values that round to zero included."""
+        values = [-0.0, 5e-7, -5e-7, 1e6, 2.5e-6, -1.0000005, 0.1234565]
+        rng = np.random.default_rng(0)
+        rows = {"a": values, "b": rng.normal(size=len(values)).tolist()}
+        source = tmp_path / "source.txt"
+        source.write_text(
+            f"2 {len(values)}\n" + "".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in rows.items())
+        )
+        path = tmp_path / "emb.txt"
+        save_embeddings(load_embeddings(source), path)
+        expected = [f"2 {len(values)}"] + [
+            t + " " + " ".join(f"{x:.6f}" for x in v) for t, v in rows.items()
+        ]
+        assert path.read_text(encoding="utf-8").splitlines() == expected
+        assert expected[1].split()[1:4] == ["-0.000000", "0.000000", "-0.000000"]
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import emoprop
+import emoprop.mlp
+from emoprop import pipeline
 from emoprop.cli import main
 from emoprop.corpus import CorpusConfig, node_token
 from emoprop.embed import EmbedConfig
 from emoprop.graph import LEXICAL_UNIT, NUM_DIMENSIONS, write_wordnet_file
-from emoprop.mlp import MLPConfig
+from emoprop.mlp import MLPConfig, MLPError
 from emoprop.propagate import PropagationError
 from emoprop.pipeline import (
     ConfigError,
@@ -30,6 +32,7 @@ from emoprop.pipeline import (
     config_from_dict,
     parse_config,
     run,
+    run_stage,
     stage_seed,
 )
 from emoprop.synth import SynthConfig
@@ -435,6 +438,62 @@ class TestSplitGuards:
         lines = []
         assert run(stage, annotated_inputs(tmp_path, 15), echo=lines.append) == 0
         assert lines[0].startswith(f"{stage}: ")
+
+
+READERS = ("parse_wordnet_file", "load_corpus_sequences", "load_embeddings")
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """Calls of each reader through its emoprop.pipeline attribute."""
+    counts = dict.fromkeys(READERS, 0)
+    for name in READERS:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return counts
+
+
+class TestInputsReadOnce:
+    """run_stage reads each input a stage declares, once per content hash
+    within a run, and the stage bodies take what it read."""
+
+    def test_all_reads_each_input_once(self, tmp_path, reads):
+        doc = micro_config(tmp_path)
+        assert run("all", config_from_dict(doc), echo=lambda _: None) == 0
+        assert reads == dict.fromkeys(READERS, 1)
+        assert run("all", config_from_dict(doc), echo=lambda _: None) == 0
+        assert reads == dict.fromkeys(READERS, 1)  # every stage cached
+
+    def test_rewritten_input_is_read_again(self, tmp_path, reads):
+        cfg = annotated_inputs(tmp_path, 20)
+        loaded = {}
+        for stage in ("train", "propagate"):
+            assert not run_stage(stage, cfg, loaded)[1]
+        assert reads["parse_wordnet_file"] == reads["load_embeddings"] == 1
+        graph = tmp_path / "graph.jsonl"
+        graph.write_text(graph.read_text() + "\n")  # same graph, new content hash
+        assert not run_stage("train", cfg, loaded)[1]
+        assert reads["parse_wordnet_file"] == 2 and reads["load_embeddings"] == 1
+
+    @pytest.mark.parametrize("stage", ["train", "propagate", "evaluate"])
+    def test_embeddings_of_another_width_named(self, micro_run, tmp_path, monkeypatch, stage):
+        """input_dim comes from embed.dim, so an embeddings file of another
+        width fails before any training step, naming both widths."""
+        out, doc, _lines = micro_run
+        fresh = json.loads(json.dumps(doc))
+        del fresh["synth"]
+        fresh.update(graph=str(out / "graph.jsonl"), out_dir=str(tmp_path))
+        fresh["embed"]["dim"] = 16
+        shutil.copy(out / "embeddings.txt", tmp_path / "embeddings.txt")
+        steps = []
+        monkeypatch.setattr(emoprop.mlp, "loss_and_grads", lambda *a, **k: steps.append(a))
+        message = r"input_dim is 16, features have 8 \(train\) and 8 \(validation\) columns$"
+        with pytest.raises(MLPError, match=message):
+            run(stage, config_from_dict(fresh), echo=lambda _: None)
+        assert steps == []
 
 
 class TestCli:
