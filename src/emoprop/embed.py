@@ -11,18 +11,22 @@ pair is
 maximized by SGD whose learning rate decays linearly to zero over the total
 planned number of pairs.  The loss and its gradients are written once,
 as `sgns_loss` and `sgns_grads`, the two kernels the gradient checks test.
-Each training step runs `sgns_grads` on one center and its whole window,
-after writing the window's dot products into a buffer that holds the
-walk's; `sgns_loss` then reads that buffer once per walk, so the recorded
-per-epoch loss is summed walk by walk.  The sigmoid clips its argument
-below at -60 only (see `sgns_grads` for why a clip above would be dead).
-Training is sequential and deterministic per seed.  Each walk draws the
+Training is sequential and deterministic per seed.  It goes through the
+walks in blocks of consecutive walks of up to `NEGATIVE_BLOCK` negatives
+(a walk that needs more is a block of its own).  A block draws the
 negatives of all its centers in one call on the seeded stream, which
-yields the same values, in the same order, as one call per center.  Which
-walk and negative positions each center reads depends only on the walk
-length, the window and k, so a plan of them is built once per length
-before training; it lists every context, so it also gives each walk's
-pair count and with it the learning-rate schedule.  A walk gathers the
+yields the same values, in the same order, as one call per center, and
+maps them to tokens through a guide table of the noise CDF (`_invert_cdf`),
+which returns exactly what `np.searchsorted` does.  Each training step
+runs `sgns_grads` on one center and its whole window, after writing the
+window's dot products into a buffer that holds the block's; `sgns_loss`
+then reads that buffer once per block, so the recorded per-epoch loss is
+summed block by block.  The sigmoid clips its argument below at -60 only
+(see `sgns_grads` for why a clip above would be dead).  Which walk and
+negative positions each center reads depends only on the walk length,
+the window and k, so a plan of them is built once per length before
+training; it lists every context, so it also gives each walk's pair count
+and with it the learning-rate schedule and the blocks.  A walk gathers the
 output-row indices of all its centers, and their flat scatter indices, in
 one step, and each center takes its slice.  An optional character-n-gram
 subword table composes vectors for tokens outside the vocabulary.  A
@@ -33,10 +37,18 @@ with the same bytes as one subtraction per listing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+
+# consecutive walks share one draw, inversion and loss call of up to this
+# many negatives; a walk that needs more is a block of its own
+NEGATIVE_BLOCK = 1 << 11
+# buckets of the noise distribution's guide table at most: 512 KiB of indices
+GUIDE_SIZE = 1 << 16
 
 
 class EmbeddingError(ValueError):
@@ -62,8 +74,8 @@ class EmbedConfig:
             raise EmbeddingError("window must be >= 1")
         if self.epochs < 1:
             raise EmbeddingError("epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise EmbeddingError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise EmbeddingError("learning_rate must be a positive finite number")
         if self.negatives < 1:
             raise EmbeddingError("negatives must be >= 1")
         if not 0.0 <= self.noise_exponent <= 1.0:
@@ -192,8 +204,8 @@ def sgns_loss(dots: np.ndarray, signs: np.ndarray) -> float:
 
     ``signs`` is -1 where a dot product is a context's and +1 where it is
     a negative's, so the loss -sum_p log s(u_p.v) - sum_j log s(-u_j.v)
-    is sum log(1 + exp(signs * dots)).  Training calls it once per walk,
-    on the dot products of every center's window at once.
+    is sum log(1 + exp(signs * dots)).  Training calls it once per block
+    of walks, on the dot products of every center's window at once.
     """
     # -log s(x) = logaddexp(0, -x): one sign flip, one sum for all
     z = np.multiply(dots, signs)
@@ -226,6 +238,32 @@ def _noise_cdf(counts: np.ndarray, exponent: float) -> np.ndarray:
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0  # guard searchsorted against cumsum round-off
     return cdf
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table (Chen & Asau, 1974) of ``cdf`` over G buckets of [0, 1):
+    entry j is ``np.searchsorted(cdf, j / G)``.  G is a power of two, so
+    ``u * G`` is exact and its floor is u's bucket; it is 4 buckets per CDF
+    entry, rounded up, and at most `GUIDE_SIZE`."""
+    size = min(GUIDE_SIZE, 1 << (4 * len(cdf) - 1).bit_length())
+    edges = np.arange(size, dtype=np.float64)
+    edges /= size
+    return np.searchsorted(cdf, edges)
+
+
+def _invert_cdf(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` for keys u in [0, 1), through `_guide_table`.
+
+    The entry of u's bucket is the first index whose CDF value reaches the
+    bucket's lower edge, which is at most u.  So it is u's answer unless
+    its value is below u, which only happens in a bucket that a CDF value
+    splits; those keys are searched.
+    """
+    idx = guide[(u * len(guide)).astype(np.intp)]
+    missed = cdf[idx] < u
+    if missed.any():
+        idx[missed] = np.searchsorted(cdf, u[missed])
+    return idx
 
 
 def _walk_plan(
@@ -311,14 +349,24 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
     plans = {n: _walk_plan(n, window, k) for n in {len(seq) for seq in indexed}}
     # a plan lists each context once and k negatives for it
     walk_pairs = [len(plans[len(seq)][0]) // (1 + k) for seq in indexed]
-    # every center's dot products of one walk, for the walk's loss
-    walk_dots = np.empty((1 + k) * max(walk_pairs, default=0))
     pairs_per_epoch = sum(walk_pairs)
     total_pairs = pairs_per_epoch * cfg.epochs
     if total_pairs == 0:
         raise EmbeddingError("corpus has no context pairs to train on")
+    # (first walk, walk after the last, pairs) of each block of consecutive walks
+    blocks = []
+    lo = block_pairs = 0
+    for hi, n_pairs in enumerate(walk_pairs):
+        if block_pairs and (block_pairs + n_pairs) * k > NEGATIVE_BLOCK:
+            blocks.append((lo, hi, block_pairs))
+            lo, block_pairs = hi, 0
+        block_pairs += n_pairs
+    blocks.append((lo, len(walk_pairs), block_pairs))
+    # every center's dot products of one block, for the block's loss
+    block_dots = np.empty((1 + k) * max(pairs for _, _, pairs in blocks))
 
     cdf = _noise_cdf(vocab.counts, cfg.noise_exponent)
+    guide = _guide_table(cdf)
     lr0 = cfg.learning_rate
     seen = 0
     history = []
@@ -329,41 +377,48 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
 
     for _epoch in range(cfg.epochs):
         epoch_loss = 0.0
-        for seq, n_pairs in zip(indexed, walk_pairs):
-            # one draw per walk: the same doubles, in the same stream
+        for lo, hi, n_block_pairs in blocks:
+            walks = indexed[lo:hi]
+            # one draw per block: the same doubles, in the same stream
             # order, as one draw per center
-            negs = np.searchsorted(cdf, rng.random(n_pairs * k))
-            pos, signs, spans = plans[len(seq)]
-            walk_idx = np.concatenate((seq, negs))[pos]
-            walk_flat = (walk_idx[:, None] * dim + cols).ravel()
-            dots = walk_dots[: len(pos)]
-            for center_idx, (n_ctx, start, end) in zip(seq.tolist(), spans):
-                lr = lr0 * (1.0 - seen / total_pairs)
-                if token_rows is not None:
-                    in_rows, rounds = token_rows[center_idx]
-                    # np.mean's arithmetic (sum, then divide) without its overhead
-                    v = np.add.reduce(input_vectors.take(in_rows, axis=0), axis=0) / len(in_rows)
-                else:
-                    v = input_vectors[center_idx]
+            negs = _invert_cdf(cdf, guide, rng.random(n_block_pairs * k))
+            neg_at = dot_at = 0
+            for seq, n_pairs in zip(walks, walk_pairs[lo:hi]):
+                pos, _, spans = plans[len(seq)]
+                walk_idx = np.concatenate((seq, negs[neg_at : neg_at + n_pairs * k]))[pos]
+                neg_at += n_pairs * k
+                walk_flat = (walk_idx[:, None] * dim + cols).ravel()
+                dots = block_dots[dot_at : dot_at + len(pos)]
+                dot_at += len(pos)
+                for center_idx, (n_ctx, start, end) in zip(seq.tolist(), spans):
+                    lr = lr0 * (1.0 - seen / total_pairs)
+                    if token_rows is not None:
+                        in_rows, rounds = token_rows[center_idx]
+                        # np.mean's arithmetic (sum, then divide) without its overhead
+                        v = np.add.reduce(input_vectors.take(in_rows, axis=0), axis=0)
+                        v /= len(in_rows)
+                    else:
+                        v = input_vectors[center_idx]
 
-                rows = output_vectors.take(walk_idx[start:end], axis=0)
-                d_center, d_rows = sgns_grads(
-                    v, rows, np.matmul(rows, v, out=dots[start:end]), n_ctx
-                )
-                d_rows *= -lr
-                np.add.at(out_flat, walk_flat[start * dim : end * dim], d_rows.ravel())
-                if token_rows is None:
-                    d_center *= lr
-                    input_vectors[center_idx] -= d_center
-                else:
-                    # a token listing an n-gram twice ("banana": "ana") counts
-                    # that row twice in its mean and updates it once per
-                    # listing, one round of distinct rows per listing
-                    d_center *= lr / len(in_rows)
-                    for distinct in rounds:
-                        input_vectors[distinct] -= d_center
-                seen += n_ctx
-            epoch_loss += sgns_loss(dots, signs)
+                    rows = output_vectors.take(walk_idx[start:end], axis=0)
+                    d_center, d_rows = sgns_grads(
+                        v, rows, np.matmul(rows, v, out=dots[start:end]), n_ctx
+                    )
+                    d_rows *= -lr
+                    np.add.at(out_flat, walk_flat[start * dim : end * dim], d_rows.ravel())
+                    if token_rows is None:
+                        d_center *= lr
+                        input_vectors[center_idx] -= d_center
+                    else:
+                        # a token listing an n-gram twice ("banana": "ana") counts
+                        # that row twice in its mean and updates it once per
+                        # listing, one round of distinct rows per listing
+                        d_center *= lr / len(in_rows)
+                        for distinct in rounds:
+                            input_vectors[distinct] -= d_center
+                    seen += n_ctx
+            signs = np.concatenate([plans[len(seq)][1] for seq in walks])
+            epoch_loss += sgns_loss(block_dots[:dot_at], signs)
         mean_loss = epoch_loss / pairs_per_epoch / (1 + k)
         if not np.isfinite(mean_loss):
             raise EmbeddingError(f"non-finite training loss at epoch {_epoch + 1}: {mean_loss}")

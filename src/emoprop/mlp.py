@@ -37,6 +37,7 @@ pass applies ReLU and dropout in place on each pre-activation.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -98,8 +99,8 @@ class MLPConfig:
             raise MLPError("max_epochs must be >= 1")
         if self.batch_size < 2:
             raise MLPError("batch_size must be >= 2")
-        if self.learning_rate <= 0.0:
-            raise MLPError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise MLPError("learning_rate must be a positive finite number")
         if self.seed < 0:
             raise MLPError("seed must be non-negative")
 
@@ -238,10 +239,13 @@ def make_dropout_masks(
 
     Each layer's uniforms are drawn into one float64 scratch and compared
     into one boolean scratch, both sized for the widest masked layer, so a
-    call allocates little beyond the masks it returns.
+    call allocates little beyond the masks it returns, and nothing when no
+    layer drops out.
     """
     hidden = cfg.resolved_hidden()
     active = cfg.dropout_layers()
+    if not active:
+        return [None] * len(hidden)
     kept = np.float32(1.0 / (1.0 - cfg.dropout))
     size = batch_size * max((hidden[li] for li in active), default=0)
     draws = np.empty(size)
@@ -326,12 +330,30 @@ def _slab_rows(fan_in: int, fan_out: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _backward_layout(model: MLPModel) -> tuple[list[int], list, np.ndarray]:
+    """What `_backward` needs besides the batch, fixed by the layer shapes:
+    where each layer's weight starts in the flat layout, its `_slab_rows`,
+    and one scratch of the parameters' dtype that holds any slab, with the
+    bias after a layer's last slab."""
+    weights = model.weights
+    starts = [0]
+    for w in weights:
+        starts.append(starts[-1] + w.size + w.shape[1])
+    plans = [_slab_rows(*w.shape) for w in weights]
+    scratch = np.empty(
+        max((e - r + 1) * w.shape[1] for w, plan in zip(weights, plans) for r, e in plan),
+        dtype=weights[0].dtype,
+    )
+    return starts, plans, scratch
+
+
 def _backward(
     model: MLPModel,
     activations: list[np.ndarray],
     masks: list[np.ndarray | None] | None,
     d_out: np.ndarray,
     consume,
+    layout: tuple[list[int], list, np.ndarray],
 ) -> None:
     """Backprop `d_out` from the last layer down, handing the gradients to
     `consume` slab by slab (see `loss_and_grads`).
@@ -340,17 +362,10 @@ def _backward(
     `consume` sees any of its slabs; then its weight gradient, a slab of
     rows at a time, with the bias gradient after the last row, since the
     bias follows its weight in the flat layout.  Every slab is written
-    into one scratch.
+    into the scratch of `layout`, the model's `_backward_layout`.
     """
     weights = model.weights
-    starts = [0]
-    for w in weights:
-        starts.append(starts[-1] + w.size + w.shape[1])
-    plans = [_slab_rows(*w.shape) for w in weights]
-    scratch = np.empty(
-        max((e - r + 1) * w.shape[1] for w, plan in zip(weights, plans) for r, e in plan),
-        dtype=d_out.dtype,
-    )
+    starts, plans, scratch = layout
     delta = d_out
     for li in range(len(weights) - 1, -1, -1):
         a, (fan_in, fan_out) = activations[li], weights[li].shape
@@ -376,6 +391,7 @@ def loss_and_grads(
     y: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
     consume=None,
+    layout: tuple[list[int], list, np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray] | None, list[np.ndarray] | None]:
     """FVU loss plus gradients for every weight matrix and bias vector; the
     loss is float64, the gradients take the output's dtype.
@@ -387,19 +403,22 @@ def loss_and_grads(
     delta is computed, so `consume` may update that layer's parameters in
     place, and the returned gradient lists are None.  Without it, the
     slabs are gathered into one flat buffer and returned as weight and
-    bias views."""
+    bias views.  ``layout`` is the model's `_backward_layout`, which a
+    caller taking many steps builds once; without it, one is built."""
     activations = _forward(model, x, masks)
     loss, d_out = fvu_loss_and_grad(activations[-1], y)
     d_out = d_out.astype(activations[-1].dtype, copy=False)
+    if layout is None:
+        layout = _backward_layout(model)
     if consume is not None:
-        _backward(model, activations, masks, d_out, consume)
+        _backward(model, activations, masks, d_out, consume, layout)
         return loss, None, None
     grads = np.empty(model.config.num_parameters(), dtype=d_out.dtype)
 
     def gather(start: int, slab: np.ndarray) -> None:
         grads[start : start + slab.size] = slab
 
-    _backward(model, activations, masks, d_out, gather)
+    _backward(model, activations, masks, d_out, gather, layout)
     return loss, *_param_views(model.config, grads)
 
 
@@ -425,7 +444,8 @@ def train_mlp(
     stops after `patience` consecutive epochs without improvement or at
     max_epochs, and the returned parameters are those of the best epoch.
     Parameters, both Adam moments and the best-epoch copy are four flat
-    buffers allocated once per call (see the module docstring); each step
+    buffers allocated once per call (see the module docstring), as are
+    backprop's slab plan and scratch (`_backward_layout`); each step
     hands `loss_and_grads` an Adam update that it applies to every
     gradient slab as backprop produces it, with the same operations per
     element, and so the same bits, as an update of each weight and bias on
@@ -455,6 +475,7 @@ def train_mlp(
     params, moment1, moment2 = (np.zeros(size, dtype=TRAIN_DTYPE) for _ in range(3))
     best = np.empty(size, dtype=TRAIN_DTYPE)
     model = _init_into(cfg, params)
+    layout = _backward_layout(model)
     rng = np.random.default_rng(cfg.seed + 1)
     scratch = np.empty(min(BLOCK_SIZE, size), dtype=TRAIN_DTYPE)
     step = 0
@@ -502,7 +523,7 @@ def train_mlp(
 
             # the loss is checked after Adam applied its gradients; a
             # non-finite one ends training, so that update is never seen
-            loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], masks, adam)
+            loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], masks, adam, layout)
             if not np.isfinite(loss):
                 raise MLPError(f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from emoprop.corpus import (
+    SEED_CHUNK,
     CorpusConfig,
     WalkCorpus,
-    _walk_rng,
+    _seed_words,
+    _stream_states,
     edge_token,
     generate_corpus,
     load_corpus_sequences,
@@ -167,11 +169,12 @@ def _reference_walk(adj, start, length, rng, cross_lingual):
 
 
 def _reference_corpus(g, cfg):
+    """Walk i drawn from a fresh generator on its own spawned stream."""
     adj = reference_adjacency(g)
     candidates = sorted(g.nodes)
     sequences = []
     for i in range(cfg.num_walks):
-        rng = _walk_rng(cfg.seed, i)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
         start = candidates[rng.integers(len(candidates))]
         sequences.append(_reference_walk(adj, start, cfg.length, rng, cfg.cross_lingual))
     return sequences
@@ -199,7 +202,10 @@ class TestGenerateCorpus:
     )
     def test_matches_reference_walks(self, synth, cross_lingual):
         g = generate(synth)
-        cfg = CorpusConfig(num_walks=400, length=12, cross_lingual=cross_lingual, seed=3)
+        # past the first seeding chunk, so walks of two chunks are compared
+        cfg = CorpusConfig(
+            num_walks=SEED_CHUNK + 100, length=12, cross_lingual=cross_lingual, seed=3
+        )
         corpus = generate_corpus(g, cfg)
         reference = _reference_corpus(g, cfg)
         assert corpus.sequences == reference
@@ -207,6 +213,25 @@ class TestGenerateCorpus:
         assert len({len(seq) for seq in reference}) >= 5
         langs = [{tok.split("#")[1] for tok in seq[0::2]} for seq in reference]
         assert max(map(len, langs)) == (len(synth.languages) if cross_lingual else 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**70])
+    def test_bulk_seeding_matches_numpy(self, seed):
+        """The bulk-hashed seed words are numpy's SeedSequence state words,
+        over two chunks and on both sides of index 2**32, where a spawn key
+        takes a second 32-bit word; the PCG64 states built from them over
+        three chunks are those numpy's generators report."""
+        for start, stop in [(0, 2 * SEED_CHUNK), (2**32 - SEED_CHUNK, 2**32), (2**32, 2**32 + 9)]:
+            want = [
+                np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+                for i in range(start, stop)
+            ]
+            assert np.array_equal(np.stack(_seed_words(seed, start, stop), axis=1), want)
+        count = 3 * SEED_CHUNK + 5
+        want = [
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).state["state"]
+            for i in range(count)
+        ]
+        assert list(_stream_states(seed, count)) == [(w["state"], w["inc"]) for w in want]
 
     def test_walk_view_follows_graph_edits(self):
         """The index view is rebuilt after a node or edge is added."""

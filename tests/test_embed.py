@@ -195,6 +195,34 @@ class TestSgnsGradients:
         assert np.array_equal(d_rows, want_rows, equal_nan=True)
 
 
+class TestNoiseSampler:
+    @pytest.mark.parametrize("n_tokens", [1, 2, 3, 5000, 40000])
+    def test_guide_table_equals_searchsorted(self, n_tokens):
+        """The guide table inverts the noise CDF as `np.searchsorted` does:
+        at 0, on every bucket edge j/G and the double just below it, on
+        every CDF value and the doubles around it, and on random keys;
+        40,000 tokens reach the table's size cap."""
+        rng = np.random.default_rng(n_tokens)
+        counts = np.sort(rng.integers(1, 500, size=n_tokens))[::-1]
+        cdf = emoprop.embed._noise_cdf(counts, 0.75)
+        guide = emoprop.embed._guide_table(cdf)
+        size = len(guide)
+        assert size == min(emoprop.embed.GUIDE_SIZE, 1 << (4 * n_tokens - 1).bit_length())
+        edges = np.arange(size) / size
+        keys = np.concatenate([
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            np.nextafter(cdf[:-1], 0.0),
+            cdf[:-1],
+            np.nextafter(cdf[:-1], 1.0),
+            [np.nextafter(1.0, 0.0)],
+            rng.random(20000),
+        ])
+        assert keys.min() == 0.0 and keys.max() < 1.0
+        drawn = emoprop.embed._invert_cdf(cdf, guide, keys)
+        assert np.array_equal(drawn, np.searchsorted(cdf, keys))
+
+
 def _reference_train(sequences, cfg):
     """Per-center SGNS as first written: a 2-D ``np.add.at`` scatter, one
     ``rng.random`` call per center, `_reference_kernel` and the subword
@@ -319,6 +347,33 @@ def _tiny_corpus():
     return [["X", "Y"]] * 50 + [["Z", "W"]] * 50
 
 
+def _several_block_walks():
+    """Graph walks filling several blocks of negatives, with one walk of
+    90 tokens in their midst whose negatives alone exceed a block."""
+    seqs = _graph_walks()
+    tokens = sorted({tok for seq in seqs for tok in seq})
+    long_walk = [tokens[j] for j in np.random.default_rng(5).integers(0, len(tokens), size=90)]
+    return seqs[:60] + [long_walk] + seqs[60:]
+
+
+def _walk_pairs(n, window):
+    return sum(min(i, window) + min(n - 1 - i, window) for i in range(n))
+
+
+def _negative_blocks(seqs, cfg):
+    """Known-token lengths of the walks of each block: consecutive trained
+    walks up to `NEGATIVE_BLOCK` negatives, a walk needing more alone."""
+    vocab = build_vocab(seqs, cfg.min_count)
+    lengths = [n for n in (sum(t in vocab for t in seq) for seq in seqs) if n >= 2]
+    blocks = [[]]
+    for n in lengths:
+        negs = cfg.negatives * sum(_walk_pairs(m, cfg.window) for m in blocks[-1] + [n])
+        if blocks[-1] and negs > emoprop.embed.NEGATIVE_BLOCK:
+            blocks.append([])
+        blocks[-1].append(n)
+    return blocks
+
+
 class TestTraining:
     def test_deterministic(self):
         cfg = EmbedConfig(dim=16, window=2, epochs=3, seed=4)
@@ -330,11 +385,15 @@ class TestTraining:
 
     def test_trains_through_the_checked_kernel(self, monkeypatch):
         """Each center with a context is one `sgns_grads` call, covering
-        every planned pair, on the dot products of its window; each walk
-        is one `sgns_loss` call on the dot products of all its windows, the
-        ones its `sgns_grads` calls saw."""
-        seqs = _tiny_corpus() + [["X", "Y", "Z", "W", "X"], ["W"]]
+        every planned pair, on the dot products of its window; each block
+        of walks is one `sgns_loss` call on the dot products of all its
+        windows, the ones its `sgns_grads` calls saw."""
+        long_walk = ["X", "Y", "Z", "W"] * 80
+        seqs = _tiny_corpus() * 3 + [long_walk, ["X", "Y", "Z", "W", "X"], ["W"]]
         cfg = EmbedConfig(dim=8, window=2, epochs=3, seed=5)
+        blocks = _negative_blocks(seqs, cfg)
+        # several blocks, one of them the long walk alone
+        assert len(blocks) >= 3 and [len(long_walk)] in blocks
         plain = train_embeddings(seqs, cfg)
         n_pos_seen = []
         grads_dots = []
@@ -353,16 +412,11 @@ class TestTraining:
         monkeypatch.setattr(emoprop.embed, "sgns_grads", counted_grads)
         monkeypatch.setattr(emoprop.embed, "sgns_loss", counted_loss)
         wrapped = train_embeddings(seqs, cfg)
-        walks = sum(len(seq) >= 2 for seq in seqs)
         centers = sum(len(seq) for seq in seqs if len(seq) >= 2)
-        pairs = sum(
-            min(i, cfg.window) + min(len(seq) - 1 - i, cfg.window)
-            for seq in seqs
-            for i in range(len(seq))
-        )
+        pairs = sum(_walk_pairs(len(seq), cfg.window) for seq in seqs)
         assert len(n_pos_seen) == centers * cfg.epochs
         assert sum(n_pos_seen) == pairs * cfg.epochs
-        assert len(loss_dots) == walks * cfg.epochs
+        assert len(loss_dots) == len(blocks) * cfg.epochs
         assert np.array_equal(np.concatenate(loss_dots), np.concatenate(grads_dots))
         assert np.array_equal(wrapped.input_vectors, plain.input_vectors)
         assert np.array_equal(wrapped.output_vectors, plain.output_vectors)
@@ -375,11 +429,19 @@ class TestTraining:
             (EmbedConfig(dim=10, window=3, epochs=1, subword=(2, 4), seed=2), _graph_walks),
             (EmbedConfig(dim=9, window=2, epochs=3, min_count=2, negatives=3, seed=3), _every_length_walks),
             (EmbedConfig(dim=9, window=2, epochs=3, min_count=2, subword=(2, 4), seed=3), _every_length_walks),
+            (EmbedConfig(dim=6, window=3, epochs=2, negatives=4, seed=7), _several_block_walks),
         ],
-        ids=["plain", "subword", "every-length", "every-length-subword"],
+        ids=["plain", "subword", "every-length", "every-length-subword", "several-blocks"],
     )
     def test_matches_reference_loop(self, cfg, walks):
         seqs = walks()
+        if walks is _several_block_walks:
+            # several blocks, one of them a walk whose negatives exceed a block
+            blocks = _negative_blocks(seqs, cfg)
+            assert len(blocks) >= 4
+            alone = [b[0] for b in blocks if len(b) == 1]
+            largest = max(cfg.negatives * _walk_pairs(n, cfg.window) for n in alone)
+            assert largest > emoprop.embed.NEGATIVE_BLOCK
         table = train_embeddings(seqs, cfg)
         inputs, outputs, ngrams, history = _reference_train(seqs, cfg)
         assert np.array_equal(table.input_vectors, inputs)

@@ -19,7 +19,7 @@ import emoprop.mlp
 from emoprop import pipeline
 from emoprop.cli import main
 from emoprop.corpus import CorpusConfig, node_token
-from emoprop.embed import EmbedConfig
+from emoprop.embed import EmbedConfig, EmbeddingError
 from emoprop.graph import LEXICAL_UNIT, NUM_DIMENSIONS, write_wordnet_file
 from emoprop.mlp import MLPConfig, MLPError
 from emoprop.propagate import PropagationError
@@ -225,6 +225,23 @@ class TestParseConfig:
         path.write_text(json.dumps({"seed": 0, "synth": {}, section: values}), encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "make, error, rate",
+        [
+            (EmbedConfig, EmbeddingError, float("nan")),
+            (EmbedConfig, EmbeddingError, float("inf")),
+            (MLPConfig, MLPError, float("nan")),
+            (MLPConfig, MLPError, float("inf")),
+        ],
+        ids=["embed-nan", "embed-inf", "mlp-nan", "mlp-inf"],
+    )
+    def test_non_finite_learning_rate_refused(self, make, error, rate):
+        """The configs themselves refuse what `_coerce` refuses in a file, so
+        a library caller gets the named error, not numpy RuntimeWarnings
+        from the first training step."""
+        with pytest.raises(error, match="learning_rate must be a positive finite number"):
+            make(learning_rate=rate)
 
     def test_synth_seed_override_recorded(self):
         cfg = config_from_dict({"seed": 1, "synth": {"seed": 5}})
