@@ -30,9 +30,10 @@ and with it the learning-rate schedule and the blocks.  A walk gathers the
 output-row indices of all its centers, and their flat scatter indices, in
 one step, and each center takes its slice.  An optional character-n-gram
 subword table composes vectors for tokens outside the vocabulary.  A
-subword center updates its rows in rounds of distinct rows, one round per
-listing, so a row listed twice ("banana": "ana") takes the update twice,
-with the same bytes as one subtraction per listing.
+subword center writes its update back through the rows it gathered for
+its mean, and a row listed twice ("banana": "ana") takes it once more
+from one `np.subtract.at` over the token's repeated listings, with the
+same bytes as one subtraction per listing.
 """
 
 from __future__ import annotations
@@ -293,21 +294,6 @@ def _walk_plan(
     return np.array(pos, dtype=np.int64), np.array(signs, dtype=np.int8), spans
 
 
-def _distinct_rounds(rows: list[int]) -> list[np.ndarray]:
-    """Split a row listing into rounds of distinct rows: the j-th listing
-    of a row goes to round j, so subtracting one update per round gives
-    every row one update per listing."""
-    rounds: list[list[int]] = []
-    listed: dict[int, int] = {}
-    for row in rows:
-        j = listed.get(row, 0)
-        listed[row] = j + 1
-        if j == len(rounds):
-            rounds.append([])
-        rounds[j].append(row)
-    return [np.array(r, dtype=np.int64) for r in rounds]
-
-
 def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingTable:
     """Train token vectors over the corpus; pure function of (corpus, cfg).
 
@@ -320,7 +306,9 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
     dim = cfg.dim
 
     ngram_to_index: dict[str, int] = {}
-    token_rows: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
+    # each token's input rows, and its rows' second and later listings
+    # (None when no row repeats, as for most tokens)
+    token_rows: list[tuple[np.ndarray, np.ndarray | None]] | None = None
     if cfg.subword is not None:
         minn, maxn = cfg.subword
         token_rows = []
@@ -329,7 +317,12 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
             rows = [i] + [
                 n_tokens + ngram_to_index.setdefault(gram, len(ngram_to_index)) for gram in grams
             ]
-            token_rows.append((np.array(rows, dtype=np.int64), _distinct_rounds(rows)))
+            # a row's first listing joins `listed` (add returns None), and
+            # every later one is kept
+            listed: set[int] = set()
+            repeats = [row for row in rows if row in listed or listed.add(row)]
+            repeated = np.array(repeats, dtype=np.int64) if repeats else None
+            token_rows.append((np.array(rows, dtype=np.int64), repeated))
 
     # single input matrix: token rows first, n-gram rows after, in one draw
     # (the same doubles as a draw per block) scaled in place
@@ -393,9 +386,10 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
                 for center_idx, (n_ctx, start, end) in zip(seq.tolist(), spans):
                     lr = lr0 * (1.0 - seen / total_pairs)
                     if token_rows is not None:
-                        in_rows, rounds = token_rows[center_idx]
+                        in_rows, repeats = token_rows[center_idx]
+                        gathered = input_vectors.take(in_rows, axis=0)
                         # np.mean's arithmetic (sum, then divide) without its overhead
-                        v = np.add.reduce(input_vectors.take(in_rows, axis=0), axis=0)
+                        v = np.add.reduce(gathered, axis=0)
                         v /= len(in_rows)
                     else:
                         v = input_vectors[center_idx]
@@ -408,14 +402,17 @@ def train_embeddings(sequences: list[list[str]], cfg: EmbedConfig) -> EmbeddingT
                     np.add.at(out_flat, walk_flat[start * dim : end * dim], d_rows.ravel())
                     if token_rows is None:
                         d_center *= lr
-                        input_vectors[center_idx] -= d_center
+                        v -= d_center
                     else:
                         # a token listing an n-gram twice ("banana": "ana") counts
                         # that row twice in its mean and updates it once per
-                        # listing, one round of distinct rows per listing
+                        # listing: the write-back gives every row its first
+                        # update, and subtract.at each later one in turn
                         d_center *= lr / len(in_rows)
-                        for distinct in rounds:
-                            input_vectors[distinct] -= d_center
+                        gathered -= d_center
+                        input_vectors[in_rows] = gathered
+                        if repeats is not None:
+                            np.subtract.at(input_vectors, repeats, d_center)
                     seen += n_ctx
             signs = np.concatenate([plans[len(seq)][1] for seq in walks])
             epoch_loss += sgns_loss(block_dots[:dot_at], signs)

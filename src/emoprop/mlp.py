@@ -23,15 +23,18 @@ w0, b0, w1, b1, ... as in a checkpoint, and each weight and bias is a
 reshaped view into it.  `train_mlp` keeps both Adam moments and the
 best-epoch copy in three more buffers of the same layout, four in all, and
 no gradient buffer: backprop computes each layer's gradients in slabs of
-about `SLAB_SIZE` elements into one scratch, and Adam applies each slab at
-once to the same region of the parameters and moments, in blocks of
-`BLOCK_SIZE` elements through one block-sized scratch.  A slab of a
+about `SLAB_SIZE` elements, and Adam applies each slab to the same region
+of the parameters and moments, in blocks of `BLOCK_SIZE` elements through
+one block-sized scratch.  A model of one slab (the base regressor) has
+one slab scratch and applies it on the calling thread.  A model of more
+has two, and Adam runs on one worker thread: while it applies the slab in
+one scratch, backprop computes the next slab into the other.  A slab of a
 weight gradient holds whole rows, at least two, so it runs as a matrix
 product with the same sums per element as the full product, and Adam is
 elementwise: every element sees the same float32 operations in the same
 order as a per-array update after a full backward pass, and the bits do
-not depend on the layout, the slab size or the block size.  The forward
-pass applies ReLU and dropout in place on each pre-activation.
+not depend on the layout, the slab size, the block size or the thread.
+The forward pass applies ReLU and dropout in place on each pre-activation.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -56,9 +61,10 @@ TRAIN_DTYPE = np.float32
 # both moments and the scratch (640 KB in float32) stays in cache
 BLOCK_SIZE = 1 << 15
 # elements per weight-gradient slab that backprop hands to Adam at once:
-# eight blocks (1 MB in float32), as one-block slabs split the deep net's
-# largest weight gradient into 128 small products that ran slower
-SLAB_SIZE = 8 * BLOCK_SIZE
+# four blocks (512 KB in float32), so the two scratches of a model of
+# several slabs hold 1 MB; one-block slabs split the deep net's largest
+# weight gradient into many small products that ran slower
+SLAB_SIZE = 4 * BLOCK_SIZE
 
 CHECKPOINT_MAGIC = b"EMLPCKPT"
 CHECKPOINT_VERSION = 1
@@ -237,26 +243,28 @@ def make_dropout_masks(
 ) -> list[np.ndarray | None]:
     """float32 inverted-dropout masks: 0 or 1/(1-p), computed in float64.
 
-    Each layer's uniforms are drawn into one float64 scratch and compared
-    into one boolean scratch, both sized for the widest masked layer, so a
-    call allocates little beyond the masks it returns, and nothing when no
-    layer drops out.
+    Each layer's uniforms are drawn a block at a time into one float64
+    scratch of `BLOCK_SIZE` elements, the same doubles in the same stream
+    order as one draw per layer, and compared straight into the layer's
+    mask, so a call allocates little beyond the masks it returns, and
+    nothing when no layer drops out.
     """
     hidden = cfg.resolved_hidden()
     active = cfg.dropout_layers()
     if not active:
         return [None] * len(hidden)
     kept = np.float32(1.0 / (1.0 - cfg.dropout))
-    size = batch_size * max((hidden[li] for li in active), default=0)
-    draws = np.empty(size)
-    keep = np.empty(size, dtype=bool)
+    draws = np.empty(min(BLOCK_SIZE, batch_size * max(hidden[li] for li in active)))
     masks: list[np.ndarray | None] = []
     for li, width in enumerate(hidden):
         if li in active:
-            n = batch_size * width
-            u = rng.random(out=draws[:n].reshape(batch_size, width))
-            k = np.greater_equal(u, cfg.dropout, out=keep[:n].reshape(u.shape))
-            masks.append(np.multiply(k, kept, out=np.empty(u.shape, dtype=np.float32)))
+            mask = np.empty(batch_size * width, dtype=np.float32)
+            for lo in range(0, mask.size, BLOCK_SIZE):
+                u = rng.random(out=draws[: min(BLOCK_SIZE, mask.size - lo)])
+                # the comparison's 0 or 1, times kept: 0 or 1/(1-p)
+                np.greater_equal(u, cfg.dropout, out=mask[lo : lo + u.size])
+            mask *= kept
+            masks.append(mask.reshape(batch_size, width))
         else:
             masks.append(None)
     return masks
@@ -330,21 +338,42 @@ def _slab_rows(fan_in: int, fan_out: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _backward_layout(model: MLPModel) -> tuple[list[int], list, np.ndarray]:
+def _backward_layout(model: MLPModel) -> tuple[list[int], list, list[np.ndarray]]:
     """What `_backward` needs besides the batch, fixed by the layer shapes:
     where each layer's weight starts in the flat layout, its `_slab_rows`,
-    and one scratch of the parameters' dtype that holds any slab, with the
-    bias after a layer's last slab."""
+    and the scratches of the parameters' dtype that hold any slab, with
+    the bias after a layer's last slab: one for a model of one slab, two
+    for a model of more, so that backprop can write one slab while the
+    other is applied on a worker thread."""
     weights = model.weights
     starts = [0]
     for w in weights:
         starts.append(starts[-1] + w.size + w.shape[1])
     plans = [_slab_rows(*w.shape) for w in weights]
-    scratch = np.empty(
-        max((e - r + 1) * w.shape[1] for w, plan in zip(weights, plans) for r, e in plan),
-        dtype=weights[0].dtype,
-    )
-    return starts, plans, scratch
+    size = max((e - r + 1) * w.shape[1] for w, plan in zip(weights, plans) for r, e in plan)
+    n_scratch = 1 if sum(map(len, plans)) == 1 else 2
+    scratches = [np.empty(size, dtype=weights[0].dtype) for _ in range(n_scratch)]
+    return starts, plans, scratches
+
+
+class _SlabWorker(ThreadPoolExecutor):
+    """One worker thread that runs the slabs handed to it in order;
+    `drain` waits for every slab handed over since the last drain and
+    raises the first exception one of them raised."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=1)
+        self.in_flight: list[Future] = []
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = super().submit(fn, *args, **kwargs)
+        self.in_flight.append(future)
+        return future
+
+    def drain(self) -> None:
+        in_flight, self.in_flight = self.in_flight, []
+        for future in in_flight:
+            future.result()
 
 
 def _backward(
@@ -353,7 +382,8 @@ def _backward(
     masks: list[np.ndarray | None] | None,
     d_out: np.ndarray,
     consume,
-    layout: tuple[list[int], list, np.ndarray],
+    layout: tuple[list[int], list, list[np.ndarray]],
+    worker: _SlabWorker | None = None,
 ) -> None:
     """Backprop `d_out` from the last layer down, handing the gradients to
     `consume` slab by slab (see `loss_and_grads`).
@@ -361,11 +391,21 @@ def _backward(
     A layer's input delta is computed first, from its weights before
     `consume` sees any of its slabs; then its weight gradient, a slab of
     rows at a time, with the bias gradient after the last row, since the
-    bias follows its weight in the flat layout.  Every slab is written
-    into the scratch of `layout`, the model's `_backward_layout`.
+    bias follows its weight in the flat layout.  The slabs take turns in
+    the scratches of `layout`, the model's `_backward_layout`.  Without
+    `worker`, `consume` runs on the calling thread before the next slab
+    is computed.  With it, each slab goes to `worker.submit(consume, ...)`
+    and backprop goes on to the next one; a scratch is written again only
+    once the slab it held has been applied, and the input-delta order
+    still holds, since the slabs in flight while a layer's input delta is
+    computed belong to the layers after it.  Slabs may still be in flight
+    when this returns.
     """
     weights = model.weights
-    starts, plans, scratch = layout
+    starts, plans, scratches = layout
+    # the worker's future for the slab each scratch holds, until applied
+    busy: list[Future | None] = [None] * len(scratches)
+    turn = 0
     delta = d_out
     for li in range(len(weights) - 1, -1, -1):
         a, (fan_in, fan_out) = activations[li], weights[li].shape
@@ -376,12 +416,19 @@ def _backward(
                 d_in *= masks[li - 1]
             d_in *= a > 0.0
         for r, e in plans[li]:
+            if busy[turn] is not None:
+                busy[turn].result()
+            scratch = scratches[turn]
             size = (e - r) * fan_out
             np.matmul(a[:, r:e].T, delta, out=scratch[:size].reshape(e - r, fan_out))
             if e == fan_in:
                 np.add.reduce(delta, axis=0, out=scratch[size : size + fan_out])
                 size += fan_out
-            consume(starts[li] + r * fan_out, scratch[:size])
+            if worker is None:
+                consume(starts[li] + r * fan_out, scratch[:size])
+            else:
+                busy[turn] = worker.submit(consume, starts[li] + r * fan_out, scratch[:size])
+            turn = (turn + 1) % len(scratches)
         delta = d_in
 
 
@@ -391,27 +438,36 @@ def loss_and_grads(
     y: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
     consume=None,
-    layout: tuple[list[int], list, np.ndarray] | None = None,
+    layout: tuple[list[int], list, list[np.ndarray]] | None = None,
+    worker: _SlabWorker | None = None,
 ) -> tuple[float, list[np.ndarray] | None, list[np.ndarray] | None]:
     """FVU loss plus gradients for every weight matrix and bias vector; the
     loss is float64, the gradients take the output's dtype.
 
-    With `consume`, backprop calls `consume(start, slab)` as soon as it has
-    computed each slab: `slab` is a flat run of gradients beginning at
-    element `start` of the layout w0, b0, w1, b1, ..., held in a scratch
-    that the next slab overwrites.  A layer's slabs arrive after its input
-    delta is computed, so `consume` may update that layer's parameters in
-    place, and the returned gradient lists are None.  Without it, the
-    slabs are gathered into one flat buffer and returned as weight and
-    bias views.  ``layout`` is the model's `_backward_layout`, which a
-    caller taking many steps builds once; without it, one is built."""
+    With `consume`, backprop calls `consume(start, slab)` for each slab it
+    computes: `slab` is a flat run of gradients beginning at element
+    `start` of the layout w0, b0, w1, b1, ..., held in a scratch that a
+    later slab overwrites once `consume` has returned.  A layer's slabs
+    arrive after its input delta is computed, so `consume` may update that
+    layer's parameters in place, and the returned gradient lists are None.
+    `consume` runs on the calling thread before the next slab is computed,
+    or, given `worker` (a `_SlabWorker`), on the worker's thread, in the
+    slabs' order, while backprop computes the next slab.  A worker is
+    drained before the forward pass reads the parameters, and may still
+    hold slabs when this returns: the caller drains it before reading
+    them itself.  Without `consume`, the slabs are gathered on the calling
+    thread into one flat buffer and returned as weight and bias views.  ``layout`` is the
+    model's `_backward_layout`, which a caller taking many steps builds
+    once; without it, one is built."""
+    if worker is not None:
+        worker.drain()
     activations = _forward(model, x, masks)
     loss, d_out = fvu_loss_and_grad(activations[-1], y)
     d_out = d_out.astype(activations[-1].dtype, copy=False)
     if layout is None:
         layout = _backward_layout(model)
     if consume is not None:
-        _backward(model, activations, masks, d_out, consume, layout)
+        _backward(model, activations, masks, d_out, consume, layout, worker)
         return loss, None, None
     grads = np.empty(model.config.num_parameters(), dtype=d_out.dtype)
 
@@ -445,11 +501,19 @@ def train_mlp(
     max_epochs, and the returned parameters are those of the best epoch.
     Parameters, both Adam moments and the best-epoch copy are four flat
     buffers allocated once per call (see the module docstring), as are
-    backprop's slab plan and scratch (`_backward_layout`); each step
+    backprop's slab plan and scratches (`_backward_layout`); each step
     hands `loss_and_grads` an Adam update that it applies to every
     gradient slab as backprop produces it, with the same operations per
     element, and so the same bits, as an update of each weight and bias on
-    its own after the whole backward pass.
+    its own after the whole backward pass.  A model of more than one slab
+    opens a `_SlabWorker` for the call, which applies the slabs on its
+    thread while backprop computes the next ones, and which is shut down,
+    its thread joined, before this returns or raises.  Its last slabs of a
+    step overlap the next batch's gather and dropout masks, which stay on
+    the calling thread; the parameters are read only after it drains: by
+    the next forward pass (`loss_and_grads` drains first), and by the
+    validation pass, the best-epoch copy and the return, which follow the
+    drain at the end of each epoch.
     """
     x_train, y_train = np.asarray(train[0], float), np.asarray(train[1], float)
     x_val, y_val = np.asarray(val[0], float), np.asarray(val[1], float)
@@ -480,6 +544,29 @@ def train_mlp(
     scratch = np.empty(min(BLOCK_SIZE, size), dtype=TRAIN_DTYPE)
     step = 0
 
+    def adam(correction1: float, correction2: float, start: int, slab: np.ndarray) -> None:
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps) where the gradients g
+        # fall, block by block through the scratch s; the corrections are
+        # bound per step, as a slab may still be applied once the next
+        # step has begun
+        for lo in range(start, start + slab.size, BLOCK_SIZE):
+            g = slab[lo - start : lo - start + BLOCK_SIZE]
+            p, m, v = (buf[lo : lo + g.size] for buf in (params, moment1, moment2))
+            s = scratch[: g.size]
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - ADAM_BETA2
+            v += s
+            np.divide(v, correction2, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            np.divide(m, s, out=s)
+            s *= cfg.learning_rate / correction1
+            p -= s
+
     best_val = np.inf
     best_epoch = 0
     bad_epochs = 0
@@ -488,62 +575,49 @@ def train_mlp(
     n = x_train.shape[0]
     blocks = _batch_slices(n, cfg.batch_size)
     val_denom = _fvu_denominators(y_val)
+    worker = _SlabWorker() if len(layout[2]) > 1 else None
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for block in blocks:
-            idx = order[block]
-            masks = make_dropout_masks(cfg, len(idx), rng)
-            step += 1
-            correction1 = 1.0 - ADAM_BETA1**step
-            correction2 = 1.0 - ADAM_BETA2**step
+    try:
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            n_batches = 0
+            for block in blocks:
+                idx = order[block]
+                masks = make_dropout_masks(cfg, len(idx), rng)
+                step += 1
+                update = partial(adam, 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step)
+                # the loss is checked once backprop has handed Adam its
+                # gradients; a non-finite one ends training, so that update
+                # is never seen
+                loss, _, _ = loss_and_grads(
+                    model, x_train[idx], y_train[idx], masks, update, layout, worker
+                )
+                if not np.isfinite(loss):
+                    raise MLPError(f"non-finite training loss at epoch {epoch}")
+                epoch_loss += loss
+                n_batches += 1
+            train_history.append(epoch_loss / max(1, n_batches))
+            if worker is not None:
+                worker.drain()
 
-            def adam(start: int, slab: np.ndarray) -> None:
-                # p -= lr * (m / c1) / (sqrt(v / c2) + eps) where the
-                # gradients g fall, block by block through the scratch s
-                for lo in range(start, start + slab.size, BLOCK_SIZE):
-                    g = slab[lo - start : lo - start + BLOCK_SIZE]
-                    p, m, v = (buf[lo : lo + g.size] for buf in (params, moment1, moment2))
-                    s = scratch[: g.size]
-                    m *= ADAM_BETA1
-                    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-                    m += s
-                    v *= ADAM_BETA2
-                    np.multiply(g, g, out=s)
-                    s *= 1.0 - ADAM_BETA2
-                    v += s
-                    np.divide(v, correction2, out=s)
-                    np.sqrt(s, out=s)
-                    s += ADAM_EPS
-                    np.divide(m, s, out=s)
-                    s *= cfg.learning_rate / correction1
-                    p -= s
+            val_loss = fvu_loss(_forward(model, x_val, None)[-1], y_val, val_denom)
+            if not np.isfinite(val_loss):
+                raise MLPError(f"non-finite validation loss at epoch {epoch}")
+            val_history.append(val_loss)
 
-            # the loss is checked after Adam applied its gradients; a
-            # non-finite one ends training, so that update is never seen
-            loss, _, _ = loss_and_grads(model, x_train[idx], y_train[idx], masks, adam, layout)
-            if not np.isfinite(loss):
-                raise MLPError(f"non-finite training loss at epoch {epoch}")
-            epoch_loss += loss
-            n_batches += 1
-        train_history.append(epoch_loss / max(1, n_batches))
-
-        val_loss = fvu_loss(_forward(model, x_val, None)[-1], y_val, val_denom)
-        if not np.isfinite(val_loss):
-            raise MLPError(f"non-finite validation loss at epoch {epoch}")
-        val_history.append(val_loss)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            np.copyto(best, params)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                np.copyto(best, params)
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.patience:
+                    break
+    finally:
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
 
     model.weights, model.biases = _param_views(cfg, best)
     report = TrainReport(

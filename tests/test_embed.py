@@ -329,7 +329,7 @@ def _every_length_walks():
     epoch and across epochs; every other walk also holds a token seen once,
     which min_count=2 drops, and one walk shrinks to a single known token.
     "banana", "ananas" and "nanana" list some n-grams two or three times,
-    so with subwords their rows are updated over several rounds."""
+    so with subwords some rows take their update two or three times."""
     assert token_ngrams("nanana", 2, 4).count("na") == 3
     rng = np.random.default_rng(6)
     words = ["banana", "ananas", "nanana", "kiwi", "mango"]

@@ -2,6 +2,9 @@
 
 import json
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -33,6 +36,8 @@ from emoprop.mlp import (
     predict,
     save_model,
     train_mlp,
+    _SlabWorker,
+    _backward_layout,
     _batch_slices,
     _check_rows,
     _forward,
@@ -192,15 +197,17 @@ class TestForward:
             assert m.shape == (6, 40)
             assert set(np.unique(m)).issubset({0.0, 1.25})
 
-    def test_masks_match_where_construction(self):
+    # a batch of 9 x 4000 draws spans two blocks of the draw scratch
+    @pytest.mark.parametrize("hidden", [(30, 70, 20), (30, 4000, 20)], ids=["narrow", "two_blocks"])
+    def test_masks_match_where_construction(self, hidden):
         """The in-place masks carry the bits of np.where over a fresh
         draw, layer after layer from the same stream, and leave the
         stream where those draws would."""
-        cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=(30, 70, 20), dropout=0.3, seed=0)
+        cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=hidden, dropout=0.3, seed=0)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         masks = make_dropout_masks(cfg, 9, rng)
         kept = np.float32(1.0 / (1.0 - cfg.dropout))
-        for m, width in zip(masks[:2], (30, 70)):
+        for m, width in zip(masks[:2], hidden[:2]):
             want = np.where(ref_rng.random((9, width)) >= cfg.dropout, kept, np.float32(0.0))
             assert m.dtype == np.float32
             assert np.array_equal(m.view(np.uint32), want.view(np.uint32))
@@ -790,6 +797,115 @@ class TestTraining:
             train_mlp(cfg10, (x_tr[:0], y_tr[:0]), (x_va, y_va))
 
 
+class _SlabRefused(Exception):
+    pass
+
+
+class TestSlabWorker:
+    """A model of several slabs applies them on one worker thread while
+    backprop computes the next: the same bits, no thread left behind."""
+
+    # every layer spans several slabs of 24 elements; the 30x26 weight's
+    # 15 hand the 40x30 weight's first slab to the other scratch
+    SMALL_SLABS = MLPConfig(
+        variant="deep", input_dim=10, hidden_dims=(40, 30), dropout=0.2,
+        batch_size=32, max_epochs=4, patience=5, seed=5,
+    )
+
+    def test_small_slabs_match_reference_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(emoprop.mlp, "SLAB_SIZE", 24)
+        cfg = self.SMALL_SLABS
+        n_slabs = [len(_slab_rows(*dims)) for dims in cfg.layer_dims()]
+        assert min(n_slabs) > 1 and n_slabs[-1] % 2 == 1
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        before = threading.active_count()
+        x_tr, y_tr, x_va, y_va = _split_task(seed=6)
+        # switch threads as often as the interpreter allows, so that a
+        # missing wait between the two threads shows as wrong bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            model, report = train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 1 and threading.active_count() == before
+        ref_model, ref_report = _reference_train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        for p, q in zip([*model.weights, *model.biases], [*ref_model.weights, *ref_model.biases]):
+            assert np.array_equal(p, q)
+        assert report.train_history == ref_report.train_history
+        assert report.val_history == ref_report.val_history
+        assert report.best_epoch == ref_report.best_epoch
+
+    def test_poisoning_consumer_on_the_worker_leaves_input_deltas_finite(self, monkeypatch):
+        """The consumer poisons each slab's parameters as soon as the
+        worker takes it, then waits before copying the slab: a layer's
+        input delta computed after any of its slabs was handed over would
+        carry NaN into the layers below, and a scratch rewritten before
+        its slab was applied would be copied with the next slab's values."""
+        monkeypatch.setattr(emoprop.mlp, "SLAB_SIZE", 20)
+        cfg = MLPConfig(variant="deep", input_dim=7, hidden_dims=(9, 4), dropout=0.2, seed=8)
+        flat = np.zeros(cfg.num_parameters(), dtype=np.float32)
+        model = _init_into(cfg, flat)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(6, 7)).astype(np.float32)
+        y = rng.normal(size=(6, 26))
+        masks = make_dropout_masks(cfg, 6, np.random.default_rng(10))
+        loss, d_w, d_b = loss_and_grads(model, x, y, masks)
+        caller = threading.get_ident()
+        slabs = {}
+
+        def consume(start, slab):
+            assert threading.get_ident() != caller
+            flat[start : start + slab.size] = np.nan
+            time.sleep(1e-3)
+            slabs[start] = slab.copy()
+
+        layout = _backward_layout(model)
+        assert len(layout[2]) == 2
+        worker = _SlabWorker()
+        try:
+            assert loss_and_grads(model, x, y, masks, consume, layout, worker) == (loss, None, None)
+            worker.drain()
+        finally:
+            worker.shutdown()
+        assert np.isnan(flat).all()
+        starts = sorted(slabs)
+        assert len(starts) > 2 * len(cfg.layer_dims())
+        full = np.concatenate([slabs[a] for a in starts])
+        assert np.array_equal(full, np.concatenate([g.reshape(-1) for g in _interleave(d_w, d_b)]))
+
+    def test_one_slab_model_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a one-slab model started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = MLPConfig(variant="base", input_dim=10, batch_size=16, max_epochs=5, seed=2)
+        x_tr, y_tr, x_va, y_va = _split_task()
+        model, _ = train_mlp(cfg, (x_tr, y_tr), (x_va, y_va))
+        assert len(_backward_layout(model)[2]) == 1
+
+    def test_consumer_exception_surfaces_and_the_thread_is_joined(self, monkeypatch):
+        before = threading.active_count()
+        caller = threading.get_ident()
+        real = emoprop.mlp.loss_and_grads
+
+        def refusing(model, x, y, masks, consume, layout, worker):
+            def consume_then_refuse(start, slab):
+                consume(start, slab)
+                if threading.get_ident() != caller:
+                    raise _SlabRefused(start)
+
+            return real(model, x, y, masks, consume_then_refuse, layout, worker)
+
+        monkeypatch.setattr(emoprop.mlp, "loss_and_grads", refusing)
+        x_tr, y_tr, x_va, y_va = _split_task(seed=6)
+        with pytest.raises(_SlabRefused):
+            train_mlp(self.SMALL_SLABS, (x_tr, y_tr), (x_va, y_va))
+        assert threading.active_count() == before
+
+
 class TestBinarize:
     def test_all_below_threshold(self):
         assert not binarize(np.zeros(26)).any()
@@ -961,10 +1077,11 @@ class TestPrecision:
     def test_training_peak_memory_per_parameter(self):
         """Parameters, both moments and the best-epoch copy in four float32
         buffers allocated once, and each gradient slab applied by Adam as
-        soon as backprop computes it, through a slab-sized and a
-        block-sized scratch: the traced peak of one call stays at or below
-        23.0 bytes per parameter (22.2 measured; the 1 MB slab scratch,
-        as large as this net's biggest weight, is 3.7 of it).  A flat
+        soon as backprop computes it, through two half-slab scratches and
+        a block-sized one: the traced peak of one call stays at or below
+        23.0 bytes per parameter (22.4 measured; the two 512 KB slab
+        scratches, together as large as this net's biggest weight, are
+        3.7 of it).  A flat
         gradient buffer besides (24.8 measured), a fresh gradient set per
         step or float64 moments exceed it."""
         cfg = MLPConfig(
