@@ -25,7 +25,9 @@ best-epoch copy in three more buffers of the same layout, four in all, and
 no gradient buffer: backprop computes each layer's gradients in slabs of
 about `SLAB_SIZE` elements, and Adam applies each slab to the same region
 of the parameters and moments, in blocks of `BLOCK_SIZE` elements through
-one block-sized scratch.  A model of one slab (the base regressor) has
+one block-sized scratch; Adam's first pass over each moment reads no
+gradient, so a step makes it over the whole moment buffers before its
+backward pass.  A model of one slab (the base regressor) has
 one slab scratch and applies it on the calling thread.  A model of more
 has two, and Adam runs on one worker thread: while it applies the slab in
 one scratch, backprop computes the next slab into the other.  A slab of a
@@ -452,15 +454,14 @@ def loss_and_grads(
     layer's parameters in place, and the returned gradient lists are None.
     `consume` runs on the calling thread before the next slab is computed,
     or, given `worker` (a `_SlabWorker`), on the worker's thread, in the
-    slabs' order, while backprop computes the next slab.  A worker is
-    drained before the forward pass reads the parameters, and may still
-    hold slabs when this returns: the caller drains it before reading
-    them itself.  Without `consume`, the slabs are gathered on the calling
-    thread into one flat buffer and returned as weight and bias views.  ``layout`` is the
-    model's `_backward_layout`, which a caller taking many steps builds
-    once; without it, one is built."""
-    if worker is not None:
-        worker.drain()
+    slabs' order, while backprop computes the next slab.  The caller
+    drains a worker before this call, as the forward pass reads the
+    parameters, and again before it reads them itself, as slabs may still
+    be in flight when this returns.  Without `consume`, the slabs are
+    gathered on the calling thread into one flat buffer and returned as
+    weight and bias views.  ``layout`` is the model's `_backward_layout`,
+    which a caller taking many steps builds once; without it, one is
+    built."""
     activations = _forward(model, x, masks)
     loss, d_out = fvu_loss_and_grad(activations[-1], y)
     d_out = d_out.astype(activations[-1].dtype, copy=False)
@@ -501,17 +502,19 @@ def train_mlp(
     max_epochs, and the returned parameters are those of the best epoch.
     Parameters, both Adam moments and the best-epoch copy are four flat
     buffers allocated once per call (see the module docstring), as are
-    backprop's slab plan and scratches (`_backward_layout`); each step
-    hands `loss_and_grads` an Adam update that it applies to every
-    gradient slab as backprop produces it, with the same operations per
-    element, and so the same bits, as an update of each weight and bias on
-    its own after the whole backward pass.  A model of more than one slab
-    opens a `_SlabWorker` for the call, which applies the slabs on its
-    thread while backprop computes the next ones, and which is shut down,
-    its thread joined, before this returns or raises.  Its last slabs of a
-    step overlap the next batch's gather and dropout masks, which stay on
-    the calling thread; the parameters are read only after it drains: by
-    the next forward pass (`loss_and_grads` drains first), and by the
+    backprop's slab plan and scratches (`_backward_layout`).  Each step
+    decays both moments, the one pass of Adam over each that reads no
+    gradient, and hands `loss_and_grads` the rest of the Adam update,
+    which it applies to every gradient slab as backprop produces it: every
+    element sees the same operations in the same order, and so the same
+    bits, as in an update of each weight and bias on its own after the
+    whole backward pass.  A model of more than one slab opens a
+    `_SlabWorker` for the call, which decays the moments during the
+    forward pass and applies the slabs while backprop computes the next
+    ones, and which is shut down, its thread joined, before this returns
+    or raises.  Its last slabs of a step overlap the next batch's gather
+    and dropout masks, which stay on the calling thread.  The parameters
+    are read only after it drains: by the next forward pass, and by the
     validation pass, the best-epoch copy and the return, which follow the
     drain at the end of each epoch.
     """
@@ -544,19 +547,24 @@ def train_mlp(
     scratch = np.empty(min(BLOCK_SIZE, size), dtype=TRAIN_DTYPE)
     step = 0
 
+    def decay() -> None:
+        # Adam's first pass over each moment, m *= beta1 and v *= beta2,
+        # reads no gradient, so a step makes it over the whole buffers
+        # before its backward pass; every element still sees it first
+        np.multiply(moment1, ADAM_BETA1, out=moment1)
+        np.multiply(moment2, ADAM_BETA2, out=moment2)
+
     def adam(correction1: float, correction2: float, start: int, slab: np.ndarray) -> None:
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps) where the gradients g
-        # fall, block by block through the scratch s; the corrections are
-        # bound per step, as a slab may still be applied once the next
-        # step has begun
+        # the rest of p -= lr * (m / c1) / (sqrt(v / c2) + eps) where the
+        # gradients g fall, block by block through the scratch s; the
+        # corrections are bound per step, as a slab may still be applied
+        # once the next step has begun
         for lo in range(start, start + slab.size, BLOCK_SIZE):
             g = slab[lo - start : lo - start + BLOCK_SIZE]
             p, m, v = (buf[lo : lo + g.size] for buf in (params, moment1, moment2))
             s = scratch[: g.size]
-            m *= ADAM_BETA1
             np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m += s
-            v *= ADAM_BETA2
             np.multiply(g, g, out=s)
             s *= 1.0 - ADAM_BETA2
             v += s
@@ -587,6 +595,13 @@ def train_mlp(
                 masks = make_dropout_masks(cfg, len(idx), rng)
                 step += 1
                 update = partial(adam, 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step)
+                if worker is None:
+                    decay()
+                else:
+                    # the forward pass reads the parameters once the last
+                    # step's slabs are applied; the moments decay meanwhile
+                    worker.drain()
+                    worker.submit(decay)
                 # the loss is checked once backprop has handed Adam its
                 # gradients; a non-finite one ends training, so that update
                 # is never seen
