@@ -44,13 +44,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import NUM_DIMENSIONS
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 VARIANT_HIDDEN = {"base": (), "deep": (4096, 1024, 256)}
 
@@ -358,24 +361,31 @@ def _backward_layout(model: MLPModel) -> tuple[list[int], list, list[np.ndarray]
     return starts, plans, scratches
 
 
-class _SlabWorker(ThreadPoolExecutor):
-    """One worker thread that runs the slabs handed to it in order;
-    `drain` waits for every slab handed over since the last drain and
+class _SlabWorker:
+    """One worker thread that runs the calls handed to it in order;
+    `drain` waits for every call handed over since the last drain and
     raises the first exception one of them raised."""
 
     def __init__(self) -> None:
-        super().__init__(max_workers=1)
+        # imported here, as concurrent.futures loads logging: a run that
+        # trains no model of several slabs does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._pool = ThreadPoolExecutor(max_workers=1)
         self.in_flight: list[Future] = []
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = super().submit(fn, *args, **kwargs)
-        self.in_flight.append(future)
-        return future
+    def submit(self, fn, *args) -> Future:
+        self.in_flight.append(self._pool.submit(fn, *args))
+        return self.in_flight[-1]
 
     def drain(self) -> None:
         in_flight, self.in_flight = self.in_flight, []
         for future in in_flight:
             future.result()
+
+    def shutdown(self) -> None:
+        """Cancel the calls not yet started and join the thread."""
+        self._pool.shutdown(cancel_futures=True)
 
 
 def _backward(
@@ -632,7 +642,7 @@ def train_mlp(
                     break
     finally:
         if worker is not None:
-            worker.shutdown(cancel_futures=True)
+            worker.shutdown()
 
     model.weights, model.biases = _param_views(cfg, best)
     report = TrainReport(

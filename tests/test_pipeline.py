@@ -637,6 +637,19 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        """concurrent.futures, and the logging it loads, serve only the
+        deep regressor's Adam worker, opened by the training call that
+        needs it."""
+        code = "import sys, emoprop.cli; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        path = [str(Path(emoprop.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     @pytest.mark.skipif(
         shutil.which("emoprop") is None, reason="no installed emoprop console script"
     )
