@@ -27,10 +27,10 @@ about `SLAB_SIZE` elements, and Adam applies each slab to the same region
 of the parameters and moments, in blocks of `BLOCK_SIZE` elements through
 one block-sized scratch; Adam's first pass over each moment reads no
 gradient, so a step makes it over the whole moment buffers before its
-backward pass.  A model of one slab (the base regressor) has
-one slab scratch and applies it on the calling thread.  A model of more
-has two, and Adam runs on one worker thread: while it applies the slab in
-one scratch, backprop computes the next slab into the other.  A slab of a
+backward pass.  A model of one slab (the base regressor) has one slab
+scratch and applies it on the calling thread.  A model of more has two,
+and Adam runs on one worker thread: while it applies the slab in one
+scratch, backprop computes the next slab into the other.  A slab of a
 weight gradient holds whole rows, at least two, so it runs as a matrix
 product with the same sums per element as the full product, and Adam is
 elementwise: every element sees the same float32 operations in the same

@@ -197,12 +197,20 @@ class TestForward:
             assert m.shape == (6, 40)
             assert set(np.unique(m)).issubset({0.0, 1.25})
 
-    # a batch of 9 x 4000 draws spans two blocks of the draw scratch
-    @pytest.mark.parametrize("hidden", [(30, 70, 20), (30, 4000, 20)], ids=["narrow", "two_blocks"])
-    def test_masks_match_where_construction(self, hidden):
+    def test_masks_match_where_construction(self):
         """The in-place masks carry the bits of np.where over a fresh
         draw, layer after layer from the same stream, and leave the
         stream where those draws would."""
+        self._check_masks_match_where((30, 70, 20))
+
+    def test_masks_match_where_construction_across_draw_blocks(self):
+        """As above, for a layer whose 9 x 4000 draws span two blocks of
+        the draw scratch."""
+        assert 9 * 4000 > BLOCK_SIZE
+        self._check_masks_match_where((30, 4000, 20))
+
+    @staticmethod
+    def _check_masks_match_where(hidden):
         cfg = MLPConfig(variant="deep", input_dim=10, hidden_dims=hidden, dropout=0.3, seed=0)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         masks = make_dropout_masks(cfg, 9, rng)
